@@ -16,7 +16,8 @@ The committed baseline pair for the array-core PR:
 
 CI's ``perf-smoke`` job reruns a reduced subject matrix and calls
 :func:`check_regression` against the committed ``post`` entry, failing
-on a >20% decode-throughput drop (see ``--check-against``).
+on a >20% decode-throughput drop or a >20% rise in aggregate recovery
+time (see ``--check-against``).
 """
 
 from __future__ import annotations
@@ -531,8 +532,11 @@ def check_regression(
     deterministic, so a reduced CI matrix stays comparable with the full
     committed run, and aggregating over subjects averages out the
     per-subject timer noise that dominates sub-100ms decodes.
-    Per-subject ratios are reported informationally.  Returns
-    ``(ok, messages)``; an aggregate drop beyond *tolerance*
+    Per-subject ratios are reported informationally.  A second gate
+    covers hole recovery: the aggregate ``recovery_s`` over the same
+    subjects may not rise beyond *tolerance* (skipped when the baseline
+    rows predate the ``recovery_s`` column).  Returns ``(ok,
+    messages)``; either aggregate regressing beyond *tolerance*
     (fractional) flips ``ok``.  Host differences are real differences
     here -- the committed baseline names its host, and the perf-smoke
     job is expected to run on comparable runners.
@@ -574,6 +578,17 @@ def check_regression(
     if not ok:
         verdict += "  REGRESSION (>%d%%)" % round(tolerance * 100)
     messages.append(verdict)
+    if all("recovery_s" in baseline[n] for n in names):
+        base_recovery = sum(baseline[n]["recovery_s"] for n in names)
+        cur_recovery = sum(current_rows[n]["recovery_s"] for n in names)
+        ratio = cur_recovery / base_recovery if base_recovery else 1.0
+        line = "aggregate   recovery %.3fs vs baseline %.3fs (%.2fx)" % (
+            cur_recovery, base_recovery, ratio
+        )
+        if ratio > 1.0 + tolerance:
+            ok = False
+            line += "  REGRESSION (>%d%%)" % round(tolerance * 100)
+        messages.append(line)
     resilience = current.get("resilience")
     if resilience:
         # Self-consistency gate on the resilience run: restoring from a

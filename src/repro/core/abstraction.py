@@ -16,7 +16,7 @@ function.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from ..jvm.opcodes import Op, tier
 
@@ -46,15 +46,59 @@ def abstract_ops(ops: Sequence[Op], level: int) -> List[Op]:
     return abstract_sequence(ops, level, lambda op: op)
 
 
-def common_suffix_length(left: Sequence[T], right: Sequence[T]) -> int:
-    """Length of the longest common suffix of two sequences.
+def common_suffix_length(
+    left: Sequence[T],
+    right: Sequence[T],
+    left_end: Optional[int] = None,
+    right_end: Optional[int] = None,
+    limit: Optional[int] = None,
+) -> int:
+    """Length of the longest common suffix of ``left[:left_end]`` and
+    ``right[:right_end]``, capped at *limit*.
 
     This is the paper's matching operator ``|a . b|`` evaluated directly on
     already-aligned sequences (recovery compares an IS against a CS prefix
-    "from their end instructions, in reverse order").
+    "from their end instructions, in reverse order").  The end bounds let
+    callers compare prefixes without copying them.
+
+    Suffix equality is monotone in its length (a common suffix of length
+    ``k`` contains every shorter one).  So after one comparison of the
+    whole bounded suffix (a full match is the common case on repetitive
+    flows), the length is found by galloping over doubling chunk sizes
+    and then bisecting the last chunk.  Each step is one slice equality
+    evaluated at C speed, so a match of length m costs O(log m) Python
+    steps instead of m.
     """
-    limit = min(len(left), len(right))
-    count = 0
-    while count < limit and left[-1 - count] == right[-1 - count]:
-        count += 1
-    return count
+    if left_end is None:
+        left_end = len(left)
+    if right_end is None:
+        right_end = len(right)
+    bound = min(left_end, right_end)
+    if limit is not None and limit < bound:
+        bound = limit
+    if bound <= 0 or left[left_end - 1] != right[right_end - 1]:
+        return 0
+    # Matches that run to the bound are the common case in recovery's
+    # repetitive flows: settle those with one comparison.
+    if left[left_end - bound : left_end] == right[right_end - bound : right_end]:
+        return bound
+    # Invariant: a suffix of length `low` matches and one of length
+    # `high` does not.  Each probe compares only the chunk between the
+    # known match and the candidate length.
+    low = 1
+    high = bound
+    step = 1
+    while low + step < bound:
+        probe = low + step
+        if left[left_end - probe : left_end - low] != right[right_end - probe : right_end - low]:
+            high = probe
+            break
+        low = probe
+        step *= 2
+    while high - low > 1:
+        probe = (low + high) // 2
+        if left[left_end - probe : left_end - low] == right[right_end - probe : right_end - low]:
+            low = probe
+        else:
+            high = probe
+    return low

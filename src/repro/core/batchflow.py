@@ -24,6 +24,7 @@ every thread chain analysing the same (program, database) pair.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..jvm.model import JProgram
@@ -88,12 +89,19 @@ class JitLifter:
     """Per-(program, database) cache of block lift templates."""
 
     def __init__(self, database: CodeDatabase, program: JProgram):
-        self.database = database
+        # Held weakly: profilers cache lifters in a WeakKeyDictionary
+        # keyed by the database, and a strong reference from the value
+        # would keep every key -- and its lifter -- alive forever.
+        self._database = weakref.ref(database)
         self.program = program
         self._templates: Dict[int, BlockTemplate] = {}
         # (qname, bci) -> Op, or None when the record is stale (the
         # method no longer resolves / the bci runs off the bytecode).
         self._location_ops: Dict[Tuple[str, int], Optional[object]] = {}
+
+    @property
+    def database(self) -> CodeDatabase:
+        return self._database()
 
     # ------------------------------------------------------------ block path
     def block_template(self, block: WalkBlock) -> BlockTemplate:
@@ -139,7 +147,7 @@ class JitLifter:
         negative-bci) address, or :data:`~repro.pt.decoder.LIFT_STALE`
         for a record that no longer resolves.
         """
-        frames = self.database.debug_frames_at(address, tsc)
+        frames = self._database().debug_frames_at(address, tsc)
         if not frames:
             return None
         location = frames[-1]

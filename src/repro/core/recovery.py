@@ -8,14 +8,17 @@ fill the hole (Definition 5.1, Figure 6):
 
 1. the last ``x`` instructions before the hole are the **anchor**; an
    inverted n-gram index finds every other occurrence of the anchor
-   cheaply;
+   cheaply.  Only anchors some hole asks for are indexed, and a thread
+   with no holes builds nothing at all;
 2. candidates are compared to the IS by the length of the common suffix
    of their prefixes -- evaluated **tier by tier** (call structure ->
    control structure -> concrete, Definition 5.2), with the early exits
    that Theorem 5.5 licenses: a candidate whose tier-l common suffix is
    already shorter than the best-so-far cannot win concretely
    (Algorithm 4); :func:`basic_search` is the non-abstracted Algorithm 3
-   baseline;
+   baseline.  Every suffix length comes from
+   :func:`~repro.core.abstraction.common_suffix_length` over bounded
+   views of the segments, so no comparison copies a prefix;
 3. the top-N candidates are tried in rank order: instructions following
    the anchor in the CS are copied into the hole until ``y`` consecutive
    instructions match the IS's post-hole continuation; a timestamp budget
@@ -29,11 +32,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..jvm.icfg import ICFG
 from ..jvm.opcodes import tier
+from .abstraction import common_suffix_length
 from .observed import ObservedHole
 
 Node = Tuple[str, int]
@@ -75,6 +81,8 @@ class RecoveryStats:
     filled_from_cs: int = 0
     filled_fallback: int = 0
     unfilled: int = 0
+    #: Occurrences of *wanted* anchors indexed -- the anchors of the
+    #: holes this run fills, not every ``x``-window of every segment.
     candidates_indexed: int = 0
     candidates_tested: int = 0
     tier1_pruned: int = 0
@@ -111,35 +119,57 @@ class RecoveredFlow:
 
 
 class _SegmentView:
-    """A reconstructed segment plus its per-tier abstract projections."""
+    """A reconstructed segment plus, once it serves as an IS or a CS, its
+    per-tier abstract projections.
 
-    def __init__(self, entries: List[Entry], tier_of):
+    ``abstract()`` returns ``(positions1, symbols1, positions2,
+    symbols2)``: the positions (into ``entries``) of the tier <= 1 / tier
+    <= 2 entries and those entries themselves.  The tier-l abstraction of
+    the prefix ``entries[:end]`` is then ``symbolsL[:bisect(positionsL,
+    end - 1)]`` -- a cut, never a copy.  Built on first use only, so
+    segments no anchor occurrence points into cost nothing.
+    """
+
+    __slots__ = ("entries", "_tiers", "_abstract")
+
+    def __init__(self, entries: List[Entry], tiers: Tuple[FrozenSet[Node], FrozenSet[Node]]):
         self.entries = entries
-        # Positions (into entries) of tier-1 / tier-2 instructions.
-        self.tier_positions: Dict[int, List[int]] = {1: [], 2: []}
-        for position, entry in enumerate(entries):
-            if entry is None:
-                continue
-            level = tier_of(entry)
-            if level <= 1:
-                self.tier_positions[1].append(position)
-            if level <= 2:
-                self.tier_positions[2].append(position)
+        self._tiers = tiers  # nodes of tier <= 1, nodes of tier <= 2
+        self._abstract: Optional[Tuple[List[int], List[Node], List[int], List[Node]]] = None
 
-    def abstract_prefix_positions(self, level: int, end: int) -> List[int]:
-        """Positions of tier <= level entries in ``entries[:end]``."""
-        positions = self.tier_positions[level]
-        cut = bisect_right(positions, end - 1)
-        return positions[:cut]
+    def abstract(self) -> Tuple[List[int], List[Node], List[int], List[Node]]:
+        if self._abstract is None:
+            tier1, tier2 = self._tiers
+            entries = self.entries
+            positions2 = [p for p, entry in enumerate(entries) if entry in tier2]
+            positions1 = [p for p in positions2 if entries[p] in tier1]
+            self._abstract = (
+                positions1,
+                [entries[p] for p in positions1],
+                positions2,
+                [entries[p] for p in positions2],
+            )
+        return self._abstract
 
 
-@dataclass
-class _Candidate:
-    segment: int
-    anchor_end: int  # position of the last anchor entry in that segment
-    m1: int = 0
-    m2: int = 0
-    m3: int = 0
+#: A ranked candidate CS: ``(-m3, -m2, -m1, segment, anchor_end)``, where
+#: ``anchor_end`` is the position of the last anchor entry in that
+#: segment -- tuple order is rank order.
+_Candidate = Tuple[int, int, int, int, int]
+
+
+def _untimed(_phase: str, tid: Optional[int] = None):
+    return nullcontext()
+
+
+def _none_free_suffix(entries: Sequence[Entry], limit: int) -> int:
+    """Length of the longest suffix of *entries* holding no ``None``,
+    capped at *limit* (only the last *limit* entries are looked at)."""
+    tail = entries[max(len(entries) - limit, 0) :]
+    try:
+        return tail[::-1].index(None)
+    except ValueError:
+        return len(tail)
 
 
 class RecoveryEngine:
@@ -156,18 +186,19 @@ class RecoveryEngine:
         # Optional repro.analysis ObservabilityMap: scores each anchor by
         # how much of its nodes' out-flow a trace can actually pin down.
         self.observability = observability
-        self._tiers: Dict[Node, int] = {
-            node: tier(icfg.instruction(node).op) for node in icfg.nodes()
-        }
+        # Nodes of tier <= 1 / <= 2; anything else (unknown nodes
+        # included) is concrete-only, tier 3.
+        levels = {node: tier(icfg.instruction(node).op) for node in icfg.nodes()}
+        self._tiers: Tuple[FrozenSet[Node], FrozenSet[Node]] = (
+            frozenset(node for node, level in levels.items() if level <= 1),
+            frozenset(node for node, level in levels.items() if level <= 2),
+        )
 
     def _anchor_quality(self, anchor: Tuple[Node, ...]) -> float:
         if self.observability is None or not anchor:
             return 1.0
         scores = [self.observability.node_score(node) for node in anchor]
         return sum(scores) / len(scores)
-
-    def _tier_of(self, entry: Node) -> int:
-        return self._tiers.get(entry, 3)
 
     # ------------------------------------------------------------------ API
     def recover(
@@ -182,25 +213,35 @@ class RecoveryEngine:
 
         A trailing hole (fewer segments than holes + 1) is left unfilled.
         When a :class:`~repro.core.metrics.MetricsRegistry` is supplied,
-        the run's stats are published under ``recover.*`` for *tid*.
+        the run's stats are published under ``recover.*`` for *tid*, and
+        its time under the ``recovery.index`` / ``.rank`` / ``.fill`` /
+        ``.fallback`` sub-phase timers (``.fill`` includes assembling the
+        decoded passthrough).
         """
+        timer = metrics.timer if metrics is not None else _untimed
         stats = RecoveryStats()
-        views = [_SegmentView(list(segment), self._tier_of) for segment in segments]
-        index = self._build_anchor_index(views, stats)
-        entries: List[Tuple[Entry, str]] = []
-        for position, view in enumerate(views):
-            for entry in view.entries:
-                entries.append((entry, "decoded"))
-            if position < len(holes):
-                next_view = views[position + 1] if position + 1 < len(views) else None
-                fill = self._fill_hole(
-                    views, index, position, holes[position], next_view, stats
-                )
-                entries.extend(fill)
         stats.holes = len(holes)
         stats.synthetic_holes = sum(
             1 for hole in holes if getattr(hole, "synthetic", False)
         )
+        if not holes:
+            with timer("recovery.fill", tid=tid):
+                entries = list(zip(chain.from_iterable(segments), repeat("decoded")))
+            return RecoveredFlow(entries=entries, stats=stats)
+        with timer("recovery.index", tid=tid):
+            views = [_SegmentView(segment, self._tiers) for segment in segments]
+            index = self._build_anchor_index(views, len(holes), stats)
+        entries: List[Tuple[Entry, str]] = []
+        for position, view in enumerate(views):
+            with timer("recovery.fill", tid=tid):
+                entries.extend(zip(view.entries, repeat("decoded")))
+            if position < len(holes):
+                next_view = views[position + 1] if position + 1 < len(views) else None
+                fill = self._fill_hole(
+                    views, index, position, holes[position], next_view, stats,
+                    timer, tid,
+                )
+                entries.extend(fill)
         if metrics is not None:
             for name, value in (
                 ("recover.holes", stats.holes),
@@ -217,73 +258,118 @@ class RecoveryEngine:
         return RecoveredFlow(entries=entries, stats=stats)
 
     # ----------------------------------------------------------- anchor index
-    def _build_anchor_index(
-        self, views: List[_SegmentView], stats: RecoveryStats
-    ) -> Dict[Tuple, List[Tuple[int, int]]]:
-        """n-gram index: anchor tuple -> [(segment, end_position), ...]."""
+    def _anchor_of(self, view: _SegmentView) -> Optional[Tuple[Node, ...]]:
+        """The IS tail anchor of *view*, or ``None`` if it has none."""
         x = self.config.anchor_length
-        index: Dict[Tuple, List[Tuple[int, int]]] = {}
+        entries = view.entries
+        if len(entries) < x:
+            return None
+        anchor = tuple(entries[-x:])
+        return None if None in anchor else anchor
+
+    def _build_anchor_index(
+        self, views: List[_SegmentView], hole_count: int, stats: RecoveryStats
+    ) -> Dict[Tuple, Deque[Tuple[int, int]]]:
+        """n-gram index of the wanted anchors: anchor tuple -> its newest
+        occurrences ``(segment, end_position)`` in ascending order.
+
+        Ranking only ever reads the newest ``max_candidates`` occurrences
+        other than the IS's own, so each list keeps one more than that.
+        A window is only built where its last entry ends some wanted
+        anchor; windows holding ``None`` never equal a wanted anchor.
+        """
+        x = self.config.anchor_length
+        cap = self.config.max_candidates
+        # A cap below 1 trims nothing from the newest end (see
+        # _select_and_rank), so every occurrence is kept.
+        keep = cap + 1 if cap > 0 else None
+        index: Dict[Tuple, Deque[Tuple[int, int]]] = {}
+        for view in views[:hole_count]:
+            anchor = self._anchor_of(view)
+            if anchor is not None:
+                index[anchor] = deque(maxlen=keep)
+        if not index:
+            return index
+        last_nodes = {anchor[-1] for anchor in index}
+        found = 0
         for segment_id, view in enumerate(views):
             entries = view.entries
-            if len(entries) < x:
-                continue
-            window = tuple(entries[:x])
-            for end in range(x - 1, len(entries)):
-                if end >= x:
-                    window = window[1:] + (entries[end],)
-                if None in window:
+            for end in [p for p, entry in enumerate(entries) if entry in last_nodes]:
+                if end < x - 1:
                     continue
-                index.setdefault(window, []).append((segment_id, end))
-                stats.candidates_indexed += 1
+                occurrences = index.get(tuple(entries[end - x + 1 : end + 1]))
+                if occurrences is not None:
+                    occurrences.append((segment_id, end))
+                    found += 1
+        stats.candidates_indexed += found
         return index
 
     # ------------------------------------------------------------- hole fill
     def _fill_hole(
         self,
         views: List[_SegmentView],
-        index: Dict[Tuple, List[Tuple[int, int]]],
+        index: Dict[Tuple, Deque[Tuple[int, int]]],
         is_id: int,
         hole: ObservedHole,
         next_view: Optional[_SegmentView],
         stats: RecoveryStats,
+        timer,
+        tid: Optional[int],
     ) -> List[Tuple[Entry, str]]:
         config = self.config
         is_view = views[is_id]
-        is_entries = is_view.entries
-        x = config.anchor_length
-        if len(is_entries) < x:
+        with timer("recovery.rank", tid=tid):
+            ranked = self._select_and_rank(views, index, is_id, stats)
+        if ranked:
+            post = next_view.entries[: config.post_match_length] if next_view else []
+            budget = int(
+                hole.duration
+                / max(config.cost_per_instruction, 1e-9)
+                * config.budget_slack
+            )
+            budget = max(1, min(budget, config.max_fill))
+            with timer("recovery.fill", tid=tid):
+                for candidate in ranked[: config.top_n]:
+                    fill = self._try_fill(views, candidate, post, budget)
+                    if fill is not None:
+                        stats.filled_from_cs += 1
+                        stats.recovered_instructions += len(fill)
+                        return [(entry, "recovered") for entry in fill]
+        with timer("recovery.fallback", tid=tid):
             return self._fallback(is_view, next_view, stats)
-        anchor = tuple(is_entries[-x:])
-        if None in anchor:
-            return self._fallback(is_view, next_view, stats)
+
+    def _select_and_rank(
+        self,
+        views: List[_SegmentView],
+        index: Dict[Tuple, Deque[Tuple[int, int]]],
+        is_id: int,
+        stats: RecoveryStats,
+    ) -> List[_Candidate]:
+        """The ranked candidates for the hole after segment *is_id*, or an
+        empty list when the hole must take the fallback."""
+        is_view = views[is_id]
+        anchor = self._anchor_of(is_view)
+        if anchor is None:
+            return []
         quality = self._anchor_quality(anchor)
         stats.anchors_scored += 1
         stats.anchor_quality_sum += quality
         if quality < self.config.min_anchor_quality:
             stats.low_quality_anchors += 1
-            return self._fallback(is_view, next_view, stats)
-        occurrences = [
-            (segment, end)
-            for segment, end in index.get(anchor, ())
-            if not (segment == is_id and end == len(is_entries) - 1)
-        ]
+            return []
+        # The newest `max_candidates` occurrences other than the IS's own:
+        # the index keeps one more than the cap, which holds them all
+        # whether or not the IS's own occurrence falls among them.
+        occurrences = list(index[anchor])
+        own = (is_id, len(is_view.entries) - 1)
+        if own in occurrences:
+            occurrences.remove(own)
+        cap = self.config.max_candidates
+        if len(occurrences) > cap:
+            occurrences = occurrences[-cap:]
         if not occurrences:
-            return self._fallback(is_view, next_view, stats)
-        if len(occurrences) > config.max_candidates:
-            occurrences = occurrences[-config.max_candidates :]
-        ranked = self._rank_candidates(views, is_view, occurrences, stats)
-        post = next_view.entries[: config.post_match_length] if next_view else []
-        budget = int(
-            hole.duration / max(config.cost_per_instruction, 1e-9) * config.budget_slack
-        )
-        budget = max(1, min(budget, config.max_fill))
-        for candidate in ranked[: config.top_n]:
-            fill = self._try_fill(views, candidate, post, budget)
-            if fill is not None:
-                stats.filled_from_cs += 1
-                stats.recovered_instructions += len(fill)
-                return [(entry, "recovered") for entry in fill]
-        return self._fallback(is_view, next_view, stats)
+            return []
+        return self._rank_candidates(views, is_view, occurrences, stats)
 
     def _rank_candidates(
         self,
@@ -293,66 +379,45 @@ class RecoveryEngine:
         stats: RecoveryStats,
     ) -> List[_Candidate]:
         """Algorithm 4: tiered common-suffix ranking with early exits."""
-        best = (0, 0, 0)
+        limit = self.config.max_suffix_compare
+        # The IS side is the whole segment at every tier: computed once.
+        is_entries = is_view.entries
+        is_end = len(is_entries)
+        _, is_symbols1, _, is_symbols2 = is_view.abstract()
+        is_end1, is_end2 = len(is_symbols1), len(is_symbols2)
+        # The concrete match stops at the IS's nearest None.
+        limit3 = _none_free_suffix(is_entries, limit)
+        best1 = best2 = best3 = 0
+        pruned1 = pruned2 = 0
         candidates: List[_Candidate] = []
-        is_end = len(is_view.entries)
         for segment_id, end in occurrences:
-            stats.candidates_tested += 1
             cs_view = views[segment_id]
-            m1 = self._tier_suffix(is_view, is_end, cs_view, end + 1, 1)
-            if m1 < best[0]:
-                stats.tier1_pruned += 1
+            positions1, symbols1, positions2, symbols2 = cs_view.abstract()
+            m1 = common_suffix_length(
+                is_symbols1, symbols1, is_end1, bisect_right(positions1, end), limit
+            )
+            if m1 < best1:
+                pruned1 += 1
                 continue
-            m2 = self._tier_suffix(is_view, is_end, cs_view, end + 1, 2)
-            if m2 < best[1]:
-                stats.tier2_pruned += 1
+            m2 = common_suffix_length(
+                is_symbols2, symbols2, is_end2, bisect_right(positions2, end), limit
+            )
+            if m2 < best2:
+                pruned2 += 1
                 continue
-            m3 = self._concrete_suffix(is_view, is_end, cs_view, end + 1)
-            candidate = _Candidate(segment=segment_id, anchor_end=end, m1=m1, m2=m2, m3=m3)
-            candidates.append(candidate)
-            if m3 >= best[2]:
-                best = (m1, m2, m3)
-        candidates.sort(key=lambda c: (-c.m3, -c.m2, -c.m1, c.segment, c.anchor_end))
+            m3 = common_suffix_length(
+                is_entries, cs_view.entries, is_end, end + 1, limit3
+            )
+            candidates.append((-m3, -m2, -m1, segment_id, end))
+            if m3 >= best3:
+                best1, best2, best3 = m1, m2, m3
+        stats.candidates_tested += len(occurrences)
+        stats.tier1_pruned += pruned1
+        stats.tier2_pruned += pruned2
+        # Best concrete match first; ties go to the deeper abstract
+        # matches, then to the older occurrence.
+        candidates.sort()
         return candidates
-
-    def _tier_suffix(
-        self,
-        is_view: _SegmentView,
-        is_end: int,
-        cs_view: _SegmentView,
-        cs_end: int,
-        level: int,
-    ) -> int:
-        left_positions = is_view.abstract_prefix_positions(level, is_end)
-        right_positions = cs_view.abstract_prefix_positions(level, cs_end)
-        left = is_view.entries
-        right = cs_view.entries
-        count = 0
-        limit = min(
-            len(left_positions), len(right_positions), self.config.max_suffix_compare
-        )
-        while count < limit:
-            a = left[left_positions[-1 - count]]
-            b = right[right_positions[-1 - count]]
-            if a != b:
-                break
-            count += 1
-        return count
-
-    def _concrete_suffix(
-        self, is_view: _SegmentView, is_end: int, cs_view: _SegmentView, cs_end: int
-    ) -> int:
-        left = is_view.entries
-        right = cs_view.entries
-        count = 0
-        limit = min(is_end, cs_end, self.config.max_suffix_compare)
-        while count < limit:
-            a = left[is_end - 1 - count]
-            b = right[cs_end - 1 - count]
-            if a is None or a != b:
-                break
-            count += 1
-        return count
 
     def _try_fill(
         self,
@@ -362,16 +427,26 @@ class RecoveryEngine:
         budget: int,
     ) -> Optional[List[Entry]]:
         """Copy the CS continuation until the post-hole context matches."""
-        cs_entries = views[candidate.segment].entries
-        suffix = cs_entries[candidate.anchor_end + 1 :]
+        _m3, _m2, _m1, segment, anchor_end = candidate
+        cs_entries = views[segment].entries
+        start = anchor_end + 1
         y = len(post)
         if y == 0:
             # Trailing hole: copy up to the budget.
-            return list(suffix[:budget]) if suffix else None
-        limit = min(len(suffix), budget + y)
-        for position in range(0, limit - y + 1):
-            if suffix[position : position + y] == post:
-                return list(suffix[:position])
+            return cs_entries[start : start + budget] if start < len(cs_entries) else None
+        # Only the part of the continuation a fill within budget can use.
+        window = cs_entries[start : start + budget + y]
+        stop = len(window) - y + 1  # exclusive bound on the match position
+        first = post[0]
+        position = 0
+        while position < stop:
+            try:
+                position = window.index(first, position, stop)
+            except ValueError:
+                return None
+            if window[position : position + y] == post:
+                return window[:position]
+            position += 1
         return None
 
     # --------------------------------------------------------------- fallback
@@ -438,7 +513,7 @@ def basic_search(
 
     Returns ``(segment, anchor_end, suffix_length)`` of the best match, or
     ``None``.  No abstraction, no index pruning beyond the anchor scan --
-    per-instruction comparison against every occurrence, as written in the
+    a concrete comparison against every occurrence, as written in the
     paper's basic algorithm.
     """
     segments = [list(entries) for entries in views_entries]
@@ -448,6 +523,8 @@ def basic_search(
     anchor = is_entries[-anchor_length:]
     if None in anchor:
         return None
+    # The concrete match stops at the IS's nearest None.
+    limit = _none_free_suffix(is_entries, len(is_entries))
     best: Optional[Tuple[int, int, int]] = None
     for segment_id, entries in enumerate(segments):
         for end in range(anchor_length - 1, len(entries)):
@@ -455,15 +532,9 @@ def basic_search(
                 continue
             if entries[end - anchor_length + 1 : end + 1] != anchor:
                 continue
-            # Concrete common suffix of the prefixes.
-            count = 0
-            limit = min(len(is_entries), end + 1)
-            while count < limit:
-                a = is_entries[len(is_entries) - 1 - count]
-                b = entries[end - count]
-                if a is None or a != b:
-                    break
-                count += 1
+            count = common_suffix_length(
+                is_entries, entries, len(is_entries), end + 1, limit
+            )
             if best is None or count > best[2]:
                 best = (segment_id, end, count)
     return best

@@ -55,6 +55,14 @@ class TestAbstractSequence:
             assert abstract_ops(once, level) == once
 
 
+def _reverse_scan(left, right) -> int:
+    """Reference common suffix: one element at a time from the end."""
+    count = 0
+    while count < min(len(left), len(right)) and left[-1 - count] == right[-1 - count]:
+        count += 1
+    return count
+
+
 class TestCommonSuffix:
     def test_basic(self):
         assert common_suffix_length("abcd", "xbcd") == 3
@@ -70,6 +78,49 @@ class TestCommonSuffix:
             assert left[-n:] == right[-n:]
         if n < min(len(left), len(right)):
             assert left[-n - 1] != right[-n - 1]
+
+    @given(
+        ops_lists,
+        ops_lists,
+        ops_lists,
+        st.integers(0, 130),
+        st.integers(0, 130),
+        st.one_of(st.none(), st.integers(0, 130)),
+    )
+    @settings(max_examples=300)
+    def test_bounds_match_sliced_reference(
+        self, left_head, right_head, shared, left_end, right_end, limit
+    ):
+        """``common_suffix_length(l, r, le, re, k)`` is the plain common
+        suffix of ``l[:le]`` and ``r[:re]`` capped at ``k`` -- including
+        long shared tails, where the galloping search does its work."""
+        left = left_head + shared
+        right = right_head + shared
+        left_end = min(left_end, len(left))
+        right_end = min(right_end, len(right))
+        expected = _reverse_scan(left[:left_end], right[:right_end])
+        if limit is not None:
+            expected = min(expected, limit)
+        assert (
+            common_suffix_length(left, right, left_end, right_end, limit) == expected
+        )
+        unbounded = _reverse_scan(left, right)
+        assert common_suffix_length(left, right, limit=limit) == (
+            unbounded if limit is None else min(limit, unbounded)
+        )
+
+    def test_bounds_against_reverse_scan(self):
+        """Every match length at every position, against a reverse
+        element-by-element scan (covers each gallop/bisect boundary)."""
+        for size in range(0, 40):
+            left = list(range(size))
+            for cut in range(size + 1):
+                right = [-1] * 3 + left[cut:]
+                assert (
+                    common_suffix_length(left, right)
+                    == _reverse_scan(left, right)
+                    == size - cut
+                )
 
 
 class TestLemmas:

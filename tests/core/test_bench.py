@@ -4,8 +4,9 @@ The subject-running halves (:func:`repro.bench.run_table5`,
 :func:`repro.bench.run_archive_overhead`) are exercised by the real
 ``python -m repro.bench`` invocations that produce the committed
 ``BENCH_*.json``; these tests pin the parts CI correctness depends on --
-the merge format and the regression gate's aggregate-throughput math --
-on synthetic numbers, without running any subject.
+the merge format and the regression gates' aggregate decode-throughput
+and recovery-time math -- on synthetic numbers, without running any
+subject.
 """
 
 import json
@@ -96,6 +97,55 @@ class TestRegressionGate:
         path = _baseline_file(tmp_path, {"z": {"pt_bytes": 1, "decode_s": 1.0}})
         ok, _messages = check_regression(_entry(BASE_ROWS), path)
         assert not ok
+
+
+class TestRecoveryGate:
+    ROWS = {
+        "a": {"pt_bytes": 1000, "decode_s": 1.0, "recovery_s": 2.0},
+        "b": {"pt_bytes": 3000, "decode_s": 1.0, "recovery_s": 6.0},
+    }
+
+    def _scaled(self, factor, subject_factors=None):
+        return {
+            name: dict(
+                row,
+                recovery_s=row["recovery_s"]
+                * (subject_factors or {}).get(name, factor),
+            )
+            for name, row in self.ROWS.items()
+        }
+
+    def test_unchanged_recovery_passes(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, messages = check_regression(_entry(self.ROWS), path)
+        assert ok
+        assert "recovery" in messages[-1]
+
+    def test_aggregate_recovery_slowdown_fails(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, messages = check_regression(_entry(self._scaled(2.0)), path)
+        assert not ok
+        assert "recovery" in messages[-1] and "REGRESSION" in messages[-1]
+        # Decode throughput is unchanged: only the recovery gate fired.
+        assert "REGRESSION" not in messages[-2]
+
+    def test_recovery_speedup_passes(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, _messages = check_regression(_entry(self._scaled(0.3)), path)
+        assert ok
+
+    def test_small_subject_noise_is_absorbed(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        # a: 2.0s -> 3.0s alone is +50%, but only +12.5% of the aggregate.
+        noisy = self._scaled(1.0, subject_factors={"a": 1.5})
+        ok, _messages = check_regression(_entry(noisy), path)
+        assert ok
+
+    def test_baseline_without_recovery_column_skips_gate(self, tmp_path):
+        path = _baseline_file(tmp_path, BASE_ROWS)
+        ok, messages = check_regression(_entry(self._scaled(10.0)), path)
+        assert ok
+        assert not any("recovery" in message for message in messages)
 
 
 class TestRunId:

@@ -1,9 +1,16 @@
 """Integration tests for the end-to-end JPortal pipeline."""
 
+import gc
+import weakref
+
 from repro.core import JPortal
+from repro.core.metadata import collect_metadata
 from repro.core.recovery import RecoveryConfig
 from repro.jvm.jit import JITPolicy
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig, run_program
+from repro.pt.buffer import RingBufferConfig
+from repro.pt.perf import PTConfig, calibrate_drain_period, collect
+from repro.workloads import build_subject, default_config
 
 from ..conftest import (
     build_figure2_program,
@@ -86,6 +93,36 @@ class TestLossyPipeline:
         )
 
 
+class TestRecoveryTimers:
+    def test_subphases_sum_to_recovery_timer(self):
+        """``recovery.index/rank/fill/fallback`` split the ``recovery``
+        phase: their sum is within a few percent of it."""
+        subject = build_subject("batik", size=15)
+        run = subject.run(default_config())
+        period = calibrate_drain_period(run, 2048)
+        trace = collect(
+            run,
+            PTConfig(buffer=RingBufferConfig(capacity_bytes=2048, drain_period=period)),
+        )
+        database = collect_metadata(run)
+        jportal = JPortal(
+            subject.program,
+            recovery=RecoveryConfig(cost_per_instruction=run.config.compiled_step_cost),
+        )
+        ratios = []
+        for _attempt in range(3):  # best of three: host noise only adds gaps
+            metrics = jportal.analyze_trace(trace, database).metrics
+            assert metrics.counter("recover.holes") > 0
+            split = metrics.timings_by_prefix("recovery")
+            total = split.pop("")
+            assert {".index", ".rank", ".fill"} <= set(split)
+            assert set(split) <= {".index", ".rank", ".fill", ".fallback"}
+            ratios.append(sum(split.values()) / total)
+            if ratios[-1] >= 0.95:
+                break
+        assert 0.95 <= max(ratios) <= 1.0
+
+
 class TestMultiThreaded:
     def test_two_threads_reconstruct_independently(self):
         program = build_figure2_program(iterations=50)
@@ -97,3 +134,24 @@ class TestMultiThreaded:
         result = JPortal(program).analyze_run(run, lossless_config())
         for tid in (0, 1):
             assert result.flow_of(tid).reconstructed_nodes() == run.threads[tid].truth
+
+
+class TestLifterCache:
+    def test_dropped_database_is_released(self):
+        """The per-database lifter cache must not keep a database alive
+        once the caller has dropped it (and every result holding it)."""
+        program = build_figure2_program(iterations=40)
+        run = run_program(
+            program, RuntimeConfig(cores=1, jit=JITPolicy(hot_threshold=5))
+        )
+        jportal = JPortal(program)
+        trace = collect(run, lossless_config())
+        database = collect_metadata(run)
+        result = jportal.analyze_trace(trace, database)
+        assert result.flow_of(0).reconstructed_nodes() == run.threads[0].truth
+        assert len(jportal._lifters) == 1
+        alive = weakref.ref(database)
+        del database, result
+        gc.collect()
+        assert alive() is None
+        assert len(jportal._lifters) == 0

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.observed import ObservedHole
-from repro.core.recovery import RecoveryConfig, RecoveryEngine, basic_search
+from repro.core.recovery import (
+    RecoveryConfig,
+    RecoveryEngine,
+    RecoveryStats,
+    _SegmentView,
+    basic_search,
+)
 from repro.jvm.icfg import ICFG
 
 from ..conftest import build_figure2_program
@@ -28,6 +34,14 @@ def _engine(**config):
 
 def _hole(duration=10_000):
     return ObservedHole(start_tsc=0, end_tsc=duration)
+
+
+def _ranked(engine, segments, is_id):
+    """Algorithm 4's ranked candidates ``(-m3, -m2, -m1, segment,
+    anchor_end)`` for a hole after ``segments[is_id]``."""
+    views = [_SegmentView(list(segment), engine._tiers) for segment in segments]
+    index = engine._build_anchor_index(views, is_id + 1, RecoveryStats())
+    return engine._select_and_rank(views, index, is_id, RecoveryStats())
 
 
 class TestAnchorSearch:
@@ -100,8 +114,8 @@ class TestBudget:
 
 class TestRanking:
     def test_algorithm4_matches_basic_search_winner(self):
-        """The abstraction-guided search must choose a CS at least as good
-        (by concrete suffix) as Algorithm 3's exhaustive winner."""
+        """The abstraction-guided search must choose a CS as good (by
+        concrete suffix) as Algorithm 3's exhaustive winner."""
         segments = [
             _iteration(True) * 2 + _iteration(False)[:10],
             _iteration(False) + _iteration(True),
@@ -109,14 +123,10 @@ class TestRanking:
         ]
         best = basic_search(segments, is_id=0, anchor_length=3)
         assert best is not None
-        engine = _engine()
-        views = [
-            engine.recover([segment], [])  # warm nothing; just reuse tiers
-            for segment in segments
-        ]
-        # Compare via the ranking path: recover() with these segments and
-        # a hole after segment 0 must pick a CS achieving the same m3.
-        flow = engine.recover(segments, [_hole(10**6), _hole(10**6)])
+        ranked = _ranked(_engine(), segments, is_id=0)
+        assert ranked
+        assert -ranked[0][0] == best[2]
+        flow = _engine().recover(segments, [_hole(10**6), _hole(10**6)])
         assert flow.stats.candidates_tested >= 1
 
     def test_tier_pruning_counts(self):
@@ -131,6 +141,77 @@ class TestRanking:
         flow = engine.recover(segments, [_hole(10**4), _hole(10**4)])
         stats = flow.stats
         assert stats.candidates_tested > 0
+        assert stats.tier1_pruned + stats.tier2_pruned > 0
+
+    def test_self_occurrence_inside_newest_candidates(self):
+        """The IS's own anchor occurrence is among the newest
+        ``max_candidates + 1`` occurrences: it is skipped and the cap
+        still admits ``max_candidates`` others."""
+        unit = _iteration(True)
+        segment0 = unit * 3 + unit[:20]  # IS: anchor ends at unit[19]
+        segment1 = unit[:20] + unit[20:] + MAIN_ITER  # one newer occurrence
+        engine = _engine(max_candidates=2)
+        flow = engine.recover([segment0, segment1], [_hole(10**4)])
+        assert flow.stats.candidates_tested == 2
+        ranked = _ranked(engine, [segment0, segment1], is_id=0)
+        own = (0, len(segment0) - 1)
+        assert own not in [(c[3], c[4]) for c in ranked]
+        # Both others were tested (segment 0's last before its own, and
+        # segment 1's); the one with the longer matching prefix wins.
+        assert (ranked[0][3], ranked[0][4]) == (0, 2 * len(unit) + 19)
+
+    def test_none_in_is_prefix_cuts_concrete_match(self):
+        """m3 stops at the nearest ``None`` in the IS, even where the CS
+        holds ``None`` at the same place."""
+        unit = _iteration(False)
+        is_segment = unit * 2 + unit[:5] + [None] + unit[6:]
+        cs_segment = list(is_segment) + MAIN_ITER
+        ranked = _ranked(_engine(), [is_segment, cs_segment], is_id=0)
+        cut = len(unit) - 6  # entries after the None
+        assert -ranked[0][0] == cut
+        best = basic_search([is_segment, cs_segment], is_id=0)
+        assert best is not None and best[2] == cut
+
+    def test_max_suffix_compare_caps_every_tier(self):
+        unit = _iteration(True)
+        segments = [unit * 4, unit * 4 + MAIN_ITER]
+        ranked = _ranked(_engine(max_suffix_compare=5), segments, is_id=0)
+        assert ranked
+        for neg_m3, neg_m2, neg_m1, _segment, _end in ranked:
+            assert -neg_m3 <= 5 and -neg_m2 <= 5 and -neg_m1 <= 5
+        assert -ranked[0][0] == 5
+        uncapped = _ranked(_engine(), segments, is_id=0)
+        assert -uncapped[0][0] > 5
+
+
+class TestFill:
+    def test_post_context_with_none(self):
+        """A ``None`` in the post-hole context matches a ``None`` in the
+        CS continuation (and may lead the context)."""
+        unit = _iteration(True)
+        continuation = MAIN_ITER[:3] + [None] + MAIN_ITER[4:]
+        cs = unit[:20] + unit[20:] + continuation
+        segment0 = unit * 2 + unit[:20]
+        post = [None] + MAIN_ITER[4:7]
+        engine = _engine(post_match_length=4)
+        flow = engine.recover([cs + segment0, post + MAIN_ITER[7:]], [_hole(10**4)])
+        assert flow.stats.filled_from_cs == 1
+        recovered = [e for e, p in flow.entries if p == "recovered"]
+        assert recovered == unit[20:] + MAIN_ITER[:3]
+
+    def test_trailing_hole_copies_budget(self):
+        """No segment after the hole: the CS continuation is copied up to
+        the instruction budget, or to the end of the CS if shorter."""
+        unit = _iteration(True)
+        segment = unit * 3
+        newest = 2 * len(unit) - 1  # the newest earlier anchor occurrence
+        engine = _engine(cost_per_instruction=1.0, budget_slack=1.0)
+        flow = engine.recover([segment], [_hole(duration=7)])
+        recovered = [e for e, p in flow.entries if p == "recovered"]
+        assert recovered == segment[newest + 1 : newest + 8]
+        flow = engine.recover([segment], [_hole(duration=10**4)])
+        recovered = [e for e, p in flow.entries if p == "recovered"]
+        assert recovered == segment[newest + 1 :]
 
 
 class TestProperties:
@@ -147,14 +228,9 @@ class TestProperties:
         segment2 = _iteration(False)
         flow = engine.recover([segment1, segment2], [_hole(10**4)])
         entries = [e for e, _p in flow.entries]
-        for left, right in zip(entries, entries[1:]):
-            if left is None or right is None:
-                continue
-            successors = {dst for dst, _k in icfg.successors(left)}
-            # Across the pre-hole boundary the connection may legitimately
-            # break if recovery failed; only check within recovered spans.
+        # Across the pre-hole boundary the connection may legitimately
+        # break if recovery failed; only check within recovered spans.
         provenance = [p for _e, p in flow.entries]
-        spans = []
         for i in range(len(entries) - 1):
             if provenance[i] == provenance[i + 1] == "recovered":
                 left, right = entries[i], entries[i + 1]
