@@ -532,14 +532,14 @@ def check_regression(
     deterministic, so a reduced CI matrix stays comparable with the full
     committed run, and aggregating over subjects averages out the
     per-subject timer noise that dominates sub-100ms decodes.
-    Per-subject ratios are reported informationally.  A second gate
-    covers hole recovery: the aggregate ``recovery_s`` over the same
-    subjects may not rise beyond *tolerance* (skipped when the baseline
-    rows predate the ``recovery_s`` column).  Returns ``(ok,
-    messages)``; either aggregate regressing beyond *tolerance*
-    (fractional) flips ``ok``.  Host differences are real differences
-    here -- the committed baseline names its host, and the perf-smoke
-    job is expected to run on comparable runners.
+    Per-subject ratios are reported informationally.  Two more gates
+    cover projection and hole recovery: the aggregate ``reconstruct_s``
+    and ``recovery_s`` over the same subjects may not rise beyond
+    *tolerance* (each skipped when the baseline rows predate its
+    column).  Returns ``(ok, messages)``; any aggregate regressing
+    beyond *tolerance* (fractional) flips ``ok``.  Host differences are
+    real differences here -- the committed baseline names its host, and
+    the perf-smoke job is expected to run on comparable runners.
     """
     messages: List[str] = []
     try:
@@ -578,12 +578,15 @@ def check_regression(
     if not ok:
         verdict += "  REGRESSION (>%d%%)" % round(tolerance * 100)
     messages.append(verdict)
-    if all("recovery_s" in baseline[n] for n in names):
-        base_recovery = sum(baseline[n]["recovery_s"] for n in names)
-        cur_recovery = sum(current_rows[n]["recovery_s"] for n in names)
-        ratio = cur_recovery / base_recovery if base_recovery else 1.0
-        line = "aggregate   recovery %.3fs vs baseline %.3fs (%.2fx)" % (
-            cur_recovery, base_recovery, ratio
+    for phase in ("reconstruct", "recovery"):
+        column = phase + "_s"
+        if not all(column in baseline[n] for n in names):
+            continue  # baseline predates this column
+        base_time = sum(baseline[n][column] for n in names)
+        cur_time = sum(current_rows[n][column] for n in names)
+        ratio = cur_time / base_time if base_time else 1.0
+        line = "aggregate   %s %.3fs vs baseline %.3fs (%.2fx)" % (
+            phase, cur_time, base_time, ratio
         )
         if ratio > 1.0 + tolerance:
             ok = False

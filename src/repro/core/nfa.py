@@ -121,7 +121,8 @@ class ProgramNFA:
         see :data:`EDGE_KINDS`) and ``succ_edge`` (stable ICFG edge id).
         ``cond_fall``/``cond_taken`` carry the two arms of conditional
         states (-1 when absent / not a conditional), ``return_site``
-        the ``call_bci + 1`` state pushed on calls (-1 when absent), and
+        the ``call_bci + 1`` state pushed on calls (-1 when absent),
+        ``catches_locally`` 1 for throws caught in their own method, and
         ``op_code`` the opcode ordinal of each state's instruction.  The
         columns are plain ``array`` objects so a later numpy or
         C-extension backend can adopt the same layout without any API
@@ -158,6 +159,16 @@ class ProgramNFA:
             site = self.return_site_of_call(state)
             if site is not None:
                 self.return_site[state] = site
+        # 1 for throw states whose own method has a handler covering them:
+        # the exception is caught without leaving the method (the ICFG's
+        # only THROW edge then targets that handler), so no frame unwinds.
+        self.catches_locally = array("b", [0] * count)
+        for state, (qname, bci) in enumerate(self.nodes):
+            if (
+                self.kind_of[state] is Kind.THROW
+                and self.icfg.method(qname).handler_for(bci) is not None
+            ):
+                self.catches_locally[state] = 1
         self.op_code = array("q", [int(op) for op in self.op_of])
         # Transition memo for the columnar projector: (state, taken_code,
         # op_code) -> tuple of (succ, kind_code), in adjacency order --

@@ -150,7 +150,8 @@ class ParallelPipeline:
         jportal = self.jportal
         metrics = MetricsRegistry()
         wall_started = time.perf_counter()
-        per_thread = split_by_thread(trace)
+        with metrics.timer("split"):
+            per_thread = split_by_thread(trace)
         tids = sorted(per_thread)
         workers = self._resolve_workers(len(tids))
         flows: Dict[int, ThreadFlow] = {}

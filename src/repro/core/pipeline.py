@@ -314,7 +314,8 @@ class JPortal:
             return pipeline.analyze_trace(trace, database)
         metrics = MetricsRegistry()
         wall_started = time.perf_counter()
-        per_thread = split_by_thread(trace)
+        with metrics.timer("split"):
+            per_thread = split_by_thread(trace)
         flows: Dict[int, ThreadFlow] = {}
         for tid in sorted(per_thread):
             flows[tid] = self._analyze_thread_safe(

@@ -33,8 +33,8 @@ from ..jvm.icfg import IEdgeKind
 from ..jvm.opcodes import Kind, Op, tier
 from .nfa import (
     EDGE_CALL,
+    EDGE_INTRA,
     EDGE_RETURN,
-    EDGE_THROW,
     Node,
     ProgramNFA,
     TAKEN_FALSE,
@@ -97,6 +97,17 @@ def _candidate_starts(nfa: ProgramNFA, step: ObservedStep) -> List[int]:
         state = nfa.state_of.get(step.location)
         return [state] if state is not None else []
     return nfa.initial_states(step.symbol)
+
+
+def _window_states(window: List[Dict[Key, Optional[Key]]], key: Key) -> List[int]:
+    """States on the parent-pointer route from *key* (a key of
+    ``window[-1]``) back through every frontier of *window*, oldest first."""
+    states = []
+    for frontier in reversed(window):
+        states.append(key[0])
+        key = frontier[key]
+    states.reverse()
+    return states
 
 
 class Projector:
@@ -163,7 +174,7 @@ class Projector:
                     else:
                         new_stack = stack  # unknown context: NFA behaviour
                 elif kind is IEdgeKind.THROW:
-                    new_stack = self._unwind(stack, succ)
+                    new_stack = self._unwind(state, stack, succ)
                 else:
                     new_stack = stack
                 new_key = (succ, new_stack)
@@ -173,8 +184,16 @@ class Projector:
                         return nxt
         return nxt
 
-    def _unwind(self, stack: Tuple[int, ...], handler_state: int) -> Tuple[int, ...]:
-        """Pop pending frames above the handler's method."""
+    def _unwind(
+        self, state: int, stack: Tuple[int, ...], handler_state: int
+    ) -> Tuple[int, ...]:
+        """Pop pending frames above the handler's method.
+
+        A throw at *state* caught by a handler in its own method leaves
+        no frame, so the stack is kept.
+        """
+        if self.nfa.catches_locally[state]:
+            return stack
         handler_method = self.nfa.nodes[handler_state][0]
         trimmed = list(stack)
         while trimmed:
@@ -295,12 +314,17 @@ class Projector:
         same subset simulation as :meth:`project` -- same frontier
         ordering, same pruning, same ``MAX_FRONTIER`` truncation point --
         but drives the :meth:`ProgramNFA.transitions` integer tables and
-        transition memo instead of per-step object traversal, so its
+        transition memo instead of per-step object traversal, and keeps
+        parent-pointer frontiers only while the frontier holds more than
+        one key (a one-key frontier fixes every earlier step).  Its
         output is bit-identical to the object engine's (the equivalence
-        suite pins this) at a fraction of the per-step cost.
+        suites pin this) at a fraction of the per-step cost.
         """
         nfa = self.nfa
         state_of = nfa.state_of
+        memo = nfa.transition_memo
+        transitions = nfa.transitions
+        frame_rule = self._frame_rule
         count = hi - lo
         path: List[Optional[Node]] = [None] * count
         stats = MatchStats(steps=count)
@@ -326,35 +350,79 @@ class Projector:
                 position += 1
                 stats.restarts += 1
                 continue
-            frontiers: List[Dict[Key, Optional[Key]]] = [
-                {(state, ()): None for state in starts}
-            ]
+            # Commit on collapse: ``run`` holds the states of the steps
+            # whose assignment is already fixed.  While the frontier is
+            # the one key ``(state, stack)``, a step with a single
+            # surviving transition is taken inline.  Everything else goes
+            # through the general step, and frontiers wider than one key
+            # are kept in ``window`` (the steps after the last fixed one)
+            # until a step collapses back to one key.  Every parent
+            # pointer route from a later step passes through that key, so
+            # the window is backtracked then and dropped.
+            run: List[int] = []
+            window: List[Dict[Key, Optional[Key]]] = []
+            if len(starts) == 1:
+                state = starts[0]
+                stack: Tuple[int, ...] = ()
+                run.append(state)
+            else:
+                window.append({(state, ()): None for state in starts})
             cursor = position
             while cursor + 1 < hi:
-                frontier = frontiers[-1]
-                nxt = self._advance_arrays(
-                    frontier,
-                    takens[cursor],
-                    symbols[cursor + 1],
-                    locations[cursor + 1],
-                )
+                taken = takens[cursor]
+                symbol = symbols[cursor + 1]
+                location = locations[cursor + 1]
+                if not window:
+                    tcode = (
+                        TAKEN_NONE
+                        if taken is None
+                        else (TAKEN_TRUE if taken else TAKEN_FALSE)
+                    )
+                    hit = memo.get((state, tcode, symbol))
+                    if hit is None:
+                        hit = transitions(state, tcode, symbol)
+                    if len(hit) == 1:
+                        succ, kcode = hit[0]
+                        # An unknown location pins nothing.
+                        if location is None or state_of.get(location, succ) == succ:
+                            if kcode == EDGE_INTRA:
+                                new_stack = stack
+                            else:
+                                new_stack = frame_rule(state, stack, succ, kcode)
+                            if new_stack is not None:
+                                state = succ
+                                stack = new_stack
+                                run.append(succ)
+                                cursor += 1
+                                continue
+                    frontier = {(state, stack): None}
+                else:
+                    frontier = window[-1]
+                nxt = self._advance_arrays(frontier, taken, symbol, location)
                 if not nxt:
                     nxt = self._callback_fallback_arrays(
-                        frontier,
-                        symbols[cursor + 1],
-                        locations[cursor + 1],
-                        stats,
+                        frontier, symbol, location, stats
                     )
                 if not nxt:
                     break
                 if len(nxt) > stats.frontier_peak:
                     stats.frontier_peak = len(nxt)
-                frontiers.append(nxt)
                 cursor += 1
-            matched_path = self._extract(frontiers, nfa)
+                if len(nxt) > 1:
+                    window.append(nxt)
+                    continue
+                ((state, stack), parent), = nxt.items()
+                if window:
+                    run.extend(_window_states(window, parent))
+                    window = []
+                run.append(state)
+            if window:
+                run.extend(_window_states(window, min(window[-1])))
+            if cursor > position and stats.frontier_peak < 1:
+                stats.frontier_peak = 1  # the inline steps' one-key frontiers
+            matched_path = [nodes[state] for state in run]
             base = position - lo
-            for offset, node in enumerate(matched_path):
-                path[base + offset] = node
+            path[base:base + len(matched_path)] = matched_path
             stats.matched += len(matched_path)
             if ambiguous:
                 stats.ambiguous_steps += sum(
@@ -394,38 +462,48 @@ class Projector:
         if location is not None:
             anchor = nfa.state_of.get(location)
         nxt: Dict[Key, Optional[Key]] = {}
-        sensitive = self.context_sensitive
         transitions = nfa.transitions
-        return_site = nfa.return_site
+        frame_rule = self._frame_rule
         for key in frontier:
             state, stack = key
             for succ, kcode in transitions(state, tcode, wanted_op):
                 if anchor is not None and succ != anchor:
                     continue
-                if not sensitive:
-                    new_stack: Tuple[int, ...] = ()
-                elif kcode == EDGE_CALL:
-                    site = return_site[state]
-                    new_stack = stack if site < 0 else stack + (site,)
-                    if len(new_stack) > MAX_STACK:
-                        new_stack = new_stack[1:]
-                elif kcode == EDGE_RETURN:
-                    if stack:
-                        if succ != stack[-1]:
-                            continue  # infeasible interprocedural path
-                        new_stack = stack[:-1]
-                    else:
-                        new_stack = stack  # unknown context: NFA behaviour
-                elif kcode == EDGE_THROW:
-                    new_stack = self._unwind(stack, succ)
-                else:
+                if kcode == EDGE_INTRA:
                     new_stack = stack
+                else:
+                    new_stack = frame_rule(state, stack, succ, kcode)
+                    if new_stack is None:
+                        continue  # infeasible interprocedural path
                 new_key = (succ, new_stack)
                 if new_key not in nxt:
                     nxt[new_key] = key
                     if len(nxt) >= MAX_FRONTIER:
                         return nxt
         return nxt
+
+    def _frame_rule(
+        self, state: int, stack: Tuple[int, ...], succ: int, kcode: int
+    ) -> Optional[Tuple[int, ...]]:
+        """Stack after the CALL, RETURN or THROW edge ``state -> succ``.
+
+        ``None`` marks a RETURN to a site other than the pending one (an
+        infeasible interprocedural path).  INTRA edges keep the stack and
+        are handled by the callers; the plain NFA mode keeps no stack.
+        """
+        if not self.context_sensitive:
+            return ()
+        if kcode == EDGE_CALL:
+            site = self.nfa.return_site[state]
+            new_stack = stack if site < 0 else stack + (site,)
+            if len(new_stack) > MAX_STACK:
+                new_stack = new_stack[1:]
+            return new_stack
+        if kcode == EDGE_RETURN:
+            if not stack:
+                return stack  # unknown context: NFA behaviour
+            return stack[:-1] if succ == stack[-1] else None
+        return self._unwind(state, stack, succ)
 
     def _callback_fallback_arrays(
         self,

@@ -4,9 +4,9 @@ The subject-running halves (:func:`repro.bench.run_table5`,
 :func:`repro.bench.run_archive_overhead`) are exercised by the real
 ``python -m repro.bench`` invocations that produce the committed
 ``BENCH_*.json``; these tests pin the parts CI correctness depends on --
-the merge format and the regression gates' aggregate decode-throughput
-and recovery-time math -- on synthetic numbers, without running any
-subject.
+the merge format and the regression gates' aggregate decode-throughput,
+reconstruct-time and recovery-time math -- on synthetic numbers,
+without running any subject.
 """
 
 import json
@@ -146,6 +146,38 @@ class TestRecoveryGate:
         ok, messages = check_regression(_entry(self._scaled(10.0)), path)
         assert ok
         assert not any("recovery" in message for message in messages)
+
+
+class TestReconstructGate:
+    ROWS = {
+        name: dict(row, reconstruct_s=row["recovery_s"] / 2)
+        for name, row in TestRecoveryGate.ROWS.items()
+    }
+
+    def _scaled(self, factor):
+        return {
+            name: dict(row, reconstruct_s=row["reconstruct_s"] * factor)
+            for name, row in self.ROWS.items()
+        }
+
+    def test_unchanged_reconstruct_passes(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, messages = check_regression(_entry(self.ROWS), path)
+        assert ok
+        assert any("reconstruct" in message for message in messages)
+
+    def test_aggregate_reconstruct_slowdown_fails(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, messages = check_regression(_entry(self._scaled(2.0)), path)
+        assert not ok
+        flagged = [message for message in messages if "REGRESSION" in message]
+        assert len(flagged) == 1 and "reconstruct" in flagged[0]
+
+    def test_baseline_without_reconstruct_column_skips_gate(self, tmp_path):
+        path = _baseline_file(tmp_path, TestRecoveryGate.ROWS)
+        ok, messages = check_regression(_entry(self._scaled(10.0)), path)
+        assert ok
+        assert not any("reconstruct" in message for message in messages)
 
 
 class TestRunId:

@@ -123,6 +123,30 @@ class TestRecoveryTimers:
         assert 0.95 <= max(ratios) <= 1.0
 
 
+class TestPhaseTimers:
+    def test_phases_sum_to_wall(self):
+        """``split + decode + reconstruct + recovery + analysis`` account
+        for the serial analysis wall clock within a few percent."""
+        subject = build_subject("h2", size=120)  # 4 threads: split_by_thread has work
+        run = subject.run(default_config(cores=2))
+        trace = collect(run, lossless_config())
+        database = collect_metadata(run)
+        jportal = JPortal(subject.program)
+        ratios = []
+        for _attempt in range(3):  # best of three: host noise only adds gaps
+            result = jportal.analyze_trace(trace, database)
+            metrics = result.metrics
+            assert metrics.timing("split") > 0
+            phases = sum(
+                metrics.timing(phase)
+                for phase in ("split", "decode", "reconstruct", "recovery", "analysis")
+            )
+            ratios.append(phases / result.timings.wall_seconds)
+            if ratios[-1] >= 0.95:
+                break
+        assert 0.95 <= max(ratios) <= 1.0
+
+
 class TestMultiThreaded:
     def test_two_threads_reconstruct_independently(self):
         program = build_figure2_program(iterations=50)

@@ -31,6 +31,26 @@ def _ambiguous_callsites_program():
     return program
 
 
+def _recursion_program(depth):
+    """``R.down(n)`` recurses *n* times; ``R.main`` calls it with *depth*."""
+    rec = MethodAssembler("R", "down", arg_count=1, returns_value=True)
+    rec.load(0).ifle("base")
+    rec.load(0).const(1).isub().invokestatic("R", "down", 1, True).ireturn()
+    rec.label("base")
+    rec.const(0).ireturn()
+    main = MethodAssembler("R", "main", arg_count=0, returns_value=True)
+    main.const(depth)
+    main.invokestatic("R", "down", 1, True).ireturn()
+    cls = JClass("R")
+    cls.add_method(rec.build())
+    cls.add_method(main.build())
+    program = JProgram("deep")
+    program.add_class(cls)
+    program.set_entry("R", "main")
+    verify_program(program)
+    return program
+
+
 def _steps(symbols):
     return [
         ObservedStep(symbol=op, taken=taken, location=None, source="interp", tsc=i)
@@ -115,21 +135,7 @@ class TestContextSensitivity:
         fail: oldest frames are forgotten."""
         from repro.core import reconstruct
 
-        rec = MethodAssembler("R", "down", arg_count=1, returns_value=True)
-        rec.load(0).ifle("base")
-        rec.load(0).const(1).isub().invokestatic("R", "down", 1, True).ireturn()
-        rec.label("base")
-        rec.const(0).ireturn()
-        main = MethodAssembler("R", "main", arg_count=0, returns_value=True)
-        main.const(reconstruct.MAX_STACK + 20)
-        main.invokestatic("R", "down", 1, True).ireturn()
-        cls = JClass("R")
-        cls.add_method(rec.build())
-        cls.add_method(main.build())
-        program = JProgram("deep")
-        program.add_class(cls)
-        program.set_entry("R", "main")
-        verify_program(program)
+        program = _recursion_program(reconstruct.MAX_STACK + 20)
 
         from repro.jvm.runtime import RuntimeConfig, run_program
         from repro.jvm.jit import JITPolicy
@@ -153,3 +159,77 @@ class TestContextSensitivity:
             run.threads[0].truth, flow.reconstructed_nodes()
         )
         assert similarity > 0.99
+
+
+def _local_catch_program():
+    """``T.b(x)`` throws when ``x == 0`` and catches it itself; ``T.main``
+    calls it twice from sites with identical continuations."""
+    callee = MethodAssembler("T", "b", arg_count=1, returns_value=True)
+    start = callee.here()
+    callee.load(0).ifne("no_throw")
+    callee.new("E").athrow()
+    callee.label("no_throw")
+    end = callee.here()
+    callee.goto("done")
+    callee.label("catch")
+    callee.pop()
+    callee.label("done")
+    callee.load(0).ireturn()
+    callee.handler(start, end, "catch")
+    main = MethodAssembler("T", "main", arg_count=0, returns_value=True)
+    main.const(0).invokestatic("T", "b", 1, True).store(0)  # bci 0-2
+    main.const(0).invokestatic("T", "b", 1, True).store(0)  # bci 3-5
+    main.load(0).ireturn()
+    cls = JClass("T")
+    cls.add_method(callee.build())
+    cls.add_method(main.build())
+    program = JProgram("local_catch")
+    program.add_class(cls)
+    program.set_entry("T", "main")
+    verify_program(program)
+    return program
+
+
+def _truth_steps(nfa, truth):
+    """Interpreted steps of a true path (TNT bits from the next node)."""
+    steps = []
+    for index, node in enumerate(truth):
+        state = nfa.state_of[node]
+        taken = None
+        arms = nfa.cond_arms[state]
+        if arms is not None and index + 1 < len(truth):
+            taken = nfa.state_of[truth[index + 1]] == arms[1]
+        steps.append(
+            ObservedStep(
+                symbol=nfa.op_of[state], taken=taken, location=None,
+                source="interp", tsc=index,
+            )
+        )
+    return steps
+
+
+class TestLocalCatch:
+    def test_throw_caught_in_own_method_keeps_call_context(self):
+        """A handler in the thrower's own method pops no frame: the
+        pending return site survives, so the second return goes back to
+        its own call site instead of fanning out to both."""
+        from repro.jvm.jit import JITPolicy
+        from repro.jvm.runtime import RuntimeConfig, run_program
+
+        program = _local_catch_program()
+        nfa = ProgramNFA(ICFG(program))
+        run = run_program(
+            program, RuntimeConfig(cores=1, jit=JITPolicy(hot_threshold=10**9))
+        )
+        truth = run.threads[0].truth
+        assert run.counters["exceptions"] == 2
+        cut = truth[: truth.index(("T.main", 5)) + 1]  # just after the 2nd store
+        steps = _truth_steps(nfa, cut)
+        projector = Projector(nfa, context_sensitive=True)
+        assert projector.project(steps).path == cut
+        columns = (
+            [step.symbol for step in steps],
+            [step.taken for step in steps],
+            [step.location for step in steps],
+        )
+        assert projector.project_arrays(*columns, 0, len(steps)).path == cut
