@@ -16,8 +16,10 @@ The committed baseline pair for the array-core PR:
 
 CI's ``perf-smoke`` job reruns a reduced subject matrix and calls
 :func:`check_regression` against the committed ``post`` entry, failing
-on a >20% decode-throughput drop or a >20% rise in aggregate recovery
-time (see ``--check-against``).
+on a >20% decode-throughput drop, a >20% rise in aggregate reconstruct
+or recovery time, a checkpoint restore slower than a cold replay
+(beyond the same 20%), or checkpoint writes costing as much as the
+polls they protect (see ``--check-against``).
 """
 
 from __future__ import annotations
@@ -256,8 +258,11 @@ def run_resilience(subject_name: str = "luindex") -> Dict[str, object]:
     *recovery* that restores from the half-way checkpoint and drains the
     remaining tail, and a *cold replay* that re-reads from offset zero.
     Both must finalize bit-identical to the uninterrupted stream, and
-    the restore must be clean (no finalize replay) -- the ratio between
-    the two restart times is the checkpoint's payoff.
+    the restore must be clean (no finalize replay).  The checkpoint is
+    a cursor and the restore re-reads the prefix up to it, so the two
+    restart times are about equal by design; ``check_regression`` keeps
+    recovery from falling behind cold replay and the write cost below
+    the poll time it protects.
     """
     import shutil
     import tempfile
@@ -536,10 +541,14 @@ def check_regression(
     cover projection and hole recovery: the aggregate ``reconstruct_s``
     and ``recovery_s`` over the same subjects may not rise beyond
     *tolerance* (each skipped when the baseline rows predate its
-    column).  Returns ``(ok, messages)``; any aggregate regressing
-    beyond *tolerance* (fractional) flips ``ok``.  Host differences are
-    real differences here -- the committed baseline names its host, and
-    the perf-smoke job is expected to run on comparable runners.
+    column).  When *current* carries a ``resilience`` run, restoring
+    from its half-way checkpoint may not take longer than a cold
+    replay beyond *tolerance*, and its ``checkpoint_overhead_fraction``
+    must stay below 1.0.  Returns ``(ok, messages)``; any aggregate
+    regressing beyond *tolerance* (fractional), or either resilience
+    check failing, flips ``ok``.  Host differences are real differences
+    here -- the committed baseline names its host, and the perf-smoke
+    job is expected to run on comparable runners.
     """
     messages: List[str] = []
     try:
@@ -607,5 +616,15 @@ def check_regression(
         if recovery > cold * (1.0 + tolerance):
             ok = False
             line += "  REGRESSION (checkpoint slower than cold replay)"
+        messages.append(line)
+        # Fixed bound: a checkpoint may not cost more than the poll
+        # work it protects.
+        overhead = resilience["checkpoint_overhead_fraction"]
+        line = (
+            "resilience  checkpoint writes cost %.2fx the poll time" % overhead
+        )
+        if overhead >= 1.0:
+            ok = False
+            line += "  REGRESSION (checkpoint costs more than the polls)"
         messages.append(line)
     return ok, messages

@@ -958,55 +958,6 @@ class _ArchiveScanner:
         new, self._new = self._new, []
         return new
 
-    def export_state(self) -> dict:
-        """The resumable scan state as a picklable dict (checkpointing).
-
-        Includes the cumulative :class:`ArchiveContents` fields the scan
-        has populated so far (stats, journal, sideband, trace format);
-        the assembled per-core streams only exist after :meth:`finish`
-        and are deliberately absent.  Values are live references --
-        callers persist by pickling immediately (deep copy on the way
-        out), exactly like ``BatchEventDecoder.export_state``.
-        """
-        contents = self.contents
-        return {
-            "buffer": bytes(self._buffer),
-            "base": self._base,
-            "total": self._total,
-            "magic_checked": self._magic_checked,
-            "legacy": self._legacy,
-            "finished": self._finished,
-            "known": self._known,
-            "segment_entries": self._segment_entries,
-            "synthesized": self._synthesized,
-            "new": self._new,
-            "stats": contents.stats,
-            "thread_switches": contents.thread_switches,
-            "journal_dumps": contents.journal_dumps,
-            "trace_format": contents.trace_format,
-        }
-
-    def restore_state(self, state: dict) -> "_ArchiveScanner":
-        """Adopt an :meth:`export_state` payload; feeding then resumes
-        byte-for-byte where the exporting scanner stopped."""
-        self._buffer = bytearray(state["buffer"])
-        self._base = state["base"]
-        self._total = state["total"]
-        self._magic_checked = state["magic_checked"]
-        self._legacy = state["legacy"]
-        self._finished = state["finished"]
-        self._known = state["known"]
-        self._segment_entries = state["segment_entries"]
-        self._synthesized = state["synthesized"]
-        self._new = state["new"]
-        contents = self.contents
-        contents.stats = state["stats"]
-        self.stats = contents.stats
-        contents.thread_switches = state["thread_switches"]
-        contents.journal_dumps = state["journal_dumps"]
-        contents.trace_format = state["trace_format"]
-        return self
-
     def feed(self, chunk) -> None:
         """Consume appended bytes; scans as far as is determinate."""
         if self._finished:
@@ -1476,39 +1427,6 @@ class ArchiveTailReader:
             )
             return self.contents
         return self._scanner.finish()
-
-    # ------------------------------------------------------ checkpointing
-    def export_state(self) -> dict:
-        """The tail-follow position and scan state, picklable."""
-        return {
-            "offset": self._offset,
-            "ino": self._ino,
-            "dirty": self.dirty,
-            "finished": self.finished,
-            "released": self.released,
-            "records_read": self.records_read,
-            "segments_read": self.segments_read,
-            "scanner": self._scanner.export_state(),
-        }
-
-    def restore_state(self, state: dict) -> "ArchiveTailReader":
-        """Adopt an :meth:`export_state` payload: the next ``poll``
-        resumes reading at the checkpointed offset.
-
-        The inode is deliberately re-learned from disk rather than
-        restored: across a supervisor restart the archive may legally
-        have been recreated by a new writer pid, and staleness is the
-        checkpoint fingerprint's job, not the inode's.
-        """
-        self._offset = state["offset"]
-        self._ino = None
-        self.dirty = state["dirty"]
-        self.finished = state["finished"]
-        self.released = state["released"]
-        self.records_read = state["records_read"]
-        self.segments_read = state["segments_read"]
-        self._scanner.restore_state(state["scanner"])
-        return self
 
 
 def _detect_sequence_gaps(known, stats: SalvageStats, synthesize_loss) -> None:

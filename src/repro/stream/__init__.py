@@ -5,9 +5,9 @@ Public surface:
 * :class:`StreamDecoder` -- one tenant: poll a growing archive, decode
   committed segments incrementally, ``finalize()`` bit-identical to
   batch :meth:`~repro.core.pipeline.JPortal.analyze_archive`; can
-  persist its resumable state into a ``JPSC`` checkpoint sidecar
-  (:meth:`~StreamDecoder.write_checkpoint`) and be rebuilt from it
-  (:meth:`~StreamDecoder.restore`);
+  record where its reader stood in a ``JPSC`` checkpoint sidecar
+  (:meth:`~StreamDecoder.write_checkpoint`) and be rebuilt by
+  re-reading that archive prefix (:meth:`~StreamDecoder.restore`);
 * :class:`StreamSupervisor` -- many tenants on one shared worker pool,
   with per-tenant ``stream.*`` metrics and fault-isolated supervision:
   a :class:`ResilienceConfig` turns on retry/backoff with quarantine

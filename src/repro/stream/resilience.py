@@ -9,19 +9,23 @@ mechanisms the reworked :class:`~repro.stream.service.StreamSupervisor`
 composes:
 
 * the **JPSC checkpoint sidecar** -- a versioned, checksummed,
-  atomically written snapshot of one
-  :class:`~repro.stream.service.StreamDecoder`'s resumable state
-  (reader offset, pending entries, watermark, per-thread decoder
-  state, prior-delta cursors).  The framing mirrors the DFA cache's
+  atomically written *cursor* for one
+  :class:`~repro.stream.service.StreamDecoder`: where its reader stood
+  in the archive (an :func:`archive_fingerprint` holding the offset),
+  its poll and I/O-error counters, and its replay/shed reasons.  The
+  archive is the durable log; ``StreamDecoder.restore`` rebuilds the
+  rest by re-reading that prefix.  The framing mirrors the DFA cache's
   ``JPDC`` entries (:mod:`repro.core.dfacache`): magic + format
-  version + SHA-256 + payload length over a pickled body, written
-  temp+fsync+``os.replace`` like the RPM2 metadata snapshot.  A load
+  version + SHA-256 + payload length over a UTF-8 JSON body, written
+  temp+fsync+``os.replace`` like the RPM2 metadata snapshot.  The body
+  is data only -- loading a sidecar never runs code from it.  A load
   that fails *any* gate -- missing file, bad magic, version skew,
-  truncation, checksum mismatch, unpicklable body -- degrades to a
-  cold start and publishes a ``stream.checkpoint.<kind>`` counter,
-  never an exception.  Staleness (the archive on disk no longer
-  matches the checkpointed prefix) is the decoder's check, since it
-  needs the archive: see ``StreamDecoder.restore``.
+  truncation, checksum mismatch, a body that is not a JSON object --
+  degrades to a cold start and publishes a
+  ``stream.checkpoint.<kind>`` counter, never an exception.
+  Staleness (the archive on disk no longer matches the checkpointed
+  prefix) is the decoder's check, since it needs the archive: see
+  ``StreamDecoder.restore``.
 
 * the **per-tenant health state machine** --
   HEALTHY -> DEGRADED -> QUARANTINED.  Transient failures put a tenant
@@ -44,8 +48,8 @@ composes:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 import struct
 import tempfile
 from dataclasses import dataclass, field
@@ -54,7 +58,7 @@ from typing import Optional, Tuple
 
 #: Bump on any change to the checkpoint payload layout; old sidecars
 #: then read as ``version_skew`` and the tenant cold-starts.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Sidecar framing: magic + little-endian version + SHA-256 + length.
 CHECKPOINT_MAGIC = b"JPSC"
@@ -82,8 +86,8 @@ def checkpoint_path_for(archive_path) -> str:
 
 
 def encode_checkpoint(state: dict) -> bytes:
-    """Frame *state* as one JPSC blob (header + pickled payload)."""
-    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    """Frame *state* as one JPSC blob (header + UTF-8 JSON payload)."""
+    payload = json.dumps(state, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return (
         _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest, len(payload))
@@ -144,8 +148,8 @@ def load_checkpoint(path) -> Tuple[Optional[dict], Optional[str]]:
     if hashlib.sha256(payload).digest() != digest:
         return None, ANOMALY_CORRUPT
     try:
-        state = pickle.loads(payload)
-    except Exception:
+        state = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8 / JSON, or too deep
         return None, ANOMALY_CORRUPT
     if not isinstance(state, dict):
         return None, ANOMALY_CORRUPT

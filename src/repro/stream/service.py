@@ -39,9 +39,10 @@ watermark triggers replay instead.
 
 **Fault tolerance** (see :mod:`repro.stream.resilience` and DESIGN.md
 section 3j) extends the same degrade-to-replay contract to the process
-level: tenants checkpoint their resumable state into an atomically
-written ``JPSC`` sidecar so a restarted supervisor resumes tail-follow
-instead of re-decoding from scratch; transient I/O faults are retried
+level: tenants checkpoint a cursor -- where their reader stood in the
+archive -- into an atomically written ``JPSC`` sidecar, and a restarted
+supervisor rebuilds each tenant by re-reading that archive prefix
+through the ordinary poll path; transient I/O faults are retried
 under a per-tenant HEALTHY -> DEGRADED -> QUARANTINED health machine
 with capped, deterministically jittered backoff; hung polls are
 abandoned by a watchdog deadline; and per-tenant/global memory caps
@@ -380,59 +381,15 @@ class StreamDecoder:
             delta.shed = True
 
     # ---------------------------------------------------------- checkpointing
-    def checkpoint_state(self) -> dict:
-        """The tenant's full resumable state as a picklable dict.
-
-        Everything a restarted process needs to continue tail-follow
-        exactly where this one stood: the reader offset and scan state,
-        parsed-but-unreleased entries, the watermark, sideband and
-        metadata seen so far, per-thread decoder state (the
-        ``adopt_state`` field set), prior-delta cursors, and the
-        degradation flags.  An archive fingerprint pins the consumed
-        prefix so a restore detects truncated-or-replaced files as
-        *stale* rather than resuming into garbage.
-        """
-        if self._finalized is not None:
-            raise ValueError("cannot checkpoint a finalized tenant")
-        return {
-            "name": self.name,
-            "polls": self.polls,
-            "replay": self._replay,
-            "replay_reason": self.replay_reason,
-            "shed": self._shed,
-            "shed_reason": self.shed_reason,
-            "io_errors": self.io_errors,
-            "frontend": self._frontend_name,
-            "reader": self.reader.export_state(),
-            "archive_fingerprint": archive_fingerprint(
-                self.reader.path, self.reader.offset
-            ),
-            "switches_by_core": self._switches_by_core,
-            "switch_tscs": self._switch_tscs,
-            "default_tid": self._default_tid,
-            "default_min_tsc": self._default_min_tsc,
-            "pending": self._pending,
-            "last_key": self._last_key,
-            "consumed": self._consumed,
-            "seq_remaining": self._seq_remaining,
-            "released_any": self._released_any,
-            "max_released_tsc": self._max_released_tsc,
-            "commit_tsc": self._commit_tsc,
-            "snapshot": self._snapshot,
-            "journal_dumps": self._journal_dumps,
-            "decoders": {
-                tid: decoder.export_state()
-                for tid, decoder in self._decoders.items()
-            },
-            "prior_steps": self._prior_steps,
-            "prior_holes": self._prior_holes,
-            "prior_anomalies": self._prior_anomalies,
-            "prior_events": self._prior_events,
-            "metrics": self.metrics.export(),
-        }
-
     def write_checkpoint(self, path=None) -> Optional[int]:
-        """Atomically persist a ``JPSC`` checkpoint sidecar.
+        """Atomically persist a ``JPSC`` checkpoint sidecar: a cursor.
+
+        The archive is already the durable log, so the sidecar records
+        only where in it this tenant stood: the reader offset (inside
+        an :func:`~repro.stream.resilience.archive_fingerprint`, which
+        lets a restore detect a truncated or replaced file as *stale*),
+        the poll and I/O-error counters, and the replay/shed reasons.
+        :meth:`restore` rebuilds everything else from the archive.
 
         Returns the sidecar's byte size, or ``None`` (plus a
         ``stream.checkpoint.store_failed`` counter) on any failure -- a
@@ -441,8 +398,18 @@ class StreamDecoder:
         """
         target = path if path is not None else checkpoint_path_for(self.reader.path)
         try:
-            state = self.checkpoint_state()
-            size = write_checkpoint_file(target, state)
+            if self._finalized is not None:
+                raise ValueError("cannot checkpoint a finalized tenant")
+            cursor = {
+                "polls": self.polls,
+                "io_errors": self.io_errors,
+                "replay_reason": self.replay_reason,
+                "shed_reason": self.shed_reason,
+                "archive_fingerprint": archive_fingerprint(
+                    self.reader.path, self.reader.offset
+                ),
+            }
+            size = write_checkpoint_file(target, cursor)
         except Exception:
             self.metrics.incr(CHECKPOINT_METRIC_PREFIX + ANOMALY_STORE_FAILED)
             return None
@@ -458,16 +425,22 @@ class StreamDecoder:
         name: str = "tenant",
         checkpoint_path=None,
     ) -> Tuple["StreamDecoder", Optional[str]]:
-        """Resume a tenant from its ``JPSC`` sidecar, if possible.
+        """Resume a tenant from its ``JPSC`` cursor sidecar, if possible.
 
         Returns ``(decoder, anomaly)``.  On a clean resume *anomaly* is
-        ``None`` and the decoder continues tail-follow at the
-        checkpointed offset.  Any failure -- missing sidecar, corrupt
-        or version-skewed blob, an archive that no longer carries the
-        checkpointed prefix (*stale*) -- yields a cold-start decoder
-        plus the ``stream.checkpoint.<kind>`` suffix explaining why;
-        the cold start re-reads from offset zero, which is the replay
-        cost, never an exception.
+        ``None``: a fresh decoder has re-read the archive up to the
+        cursor's offset through the ordinary :meth:`poll` (capped with
+        the reader's ``max_poll_bytes``), then taken over the cursor's
+        counters and replay/shed flags.  That is the same code an
+        uninterrupted tenant ran on the same bytes, so the decoder
+        continues tail-follow exactly where the checkpointed one stood.
+        A shed tenant skips the re-read: its state was dropped anyway.
+        Any failure -- missing sidecar, corrupt or version-skewed blob,
+        an archive that no longer carries the checkpointed prefix
+        (*stale*) -- yields a cold-start decoder plus the
+        ``stream.checkpoint.<kind>`` suffix explaining why; the cold
+        start re-reads from offset zero, which is the replay cost,
+        never an exception.
         """
         target = (
             checkpoint_path
@@ -475,74 +448,51 @@ class StreamDecoder:
             else checkpoint_path_for(path)
         )
         decoder = cls(jportal, path, snapshot_path=snapshot_path, name=name)
-        state, anomaly = load_checkpoint(target)
-        if state is None:
+        cursor, anomaly = load_checkpoint(target)
+        if cursor is None:
             return decoder, anomaly
-        fingerprint = state.get("archive_fingerprint")
+        fingerprint = cursor.get("archive_fingerprint")
         if fingerprint is None or not fingerprint_matches(
             fingerprint, decoder.reader.path
         ):
             return decoder, ANOMALY_STALE
         try:
-            decoder._restore_state(state)
-        except Exception:
-            # A well-framed checkpoint whose body does not fit this
-            # decoder (e.g. hand-edited or semantically inconsistent):
-            # same degradation as a corrupt blob.
-            fresh = cls(jportal, path, snapshot_path=snapshot_path, name=name)
-            return fresh, ANOMALY_CORRUPT
+            offset = int(fingerprint["offset"])
+            polls = int(cursor["polls"])
+            io_errors = int(cursor["io_errors"])
+            replay_reason = cursor["replay_reason"]
+            shed_reason = cursor["shed_reason"]
+            for reason in (replay_reason, shed_reason):
+                if reason is not None and not isinstance(reason, str):
+                    raise TypeError("reason %r is not a string" % (reason,))
+        except (KeyError, TypeError, ValueError):
+            # A well-framed sidecar whose body is not a cursor (e.g.
+            # hand-edited): same degradation as a corrupt blob.
+            return decoder, ANOMALY_CORRUPT
+        if shed_reason is None:
+            # Normally one poll.  It processes every record before it
+            # releases any, so it trips a subset of the replay triggers
+            # the original polls did (the carried reason restores the
+            # rest), and since the commit watermark only grows it leaves
+            # the same released/pending split.  A transient read error
+            # stops early; later polls catch up from there.
+            reader = decoder.reader
+            while reader.offset < offset:
+                before = reader.offset
+                reader.max_poll_bytes = offset - before
+                if decoder.poll().error is not None or reader.offset == before:
+                    break
+            reader.max_poll_bytes = None
+        # The re-read regenerated the decode metrics; only the counters
+        # it cannot regenerate come from the cursor.
+        decoder.polls = polls
+        decoder.io_errors += io_errors
+        if replay_reason is not None:
+            decoder._replay = True
+            decoder.replay_reason = replay_reason
+        if shed_reason is not None:
+            decoder.shed(shed_reason)
         return decoder, None
-
-    def _restore_state(self, state: dict) -> None:
-        self.polls = state["polls"]
-        self._replay = state["replay"]
-        self.replay_reason = state["replay_reason"]
-        self._shed = state["shed"]
-        self.shed_reason = state["shed_reason"]
-        self.io_errors = state["io_errors"]
-        self._frontend_name = state["frontend"]
-        get_frontend(self._frontend_name)  # unknown frontend -> corrupt
-        self.reader.restore_state(state["reader"])
-        self._switches_by_core = state["switches_by_core"]
-        self._switch_tscs = state["switch_tscs"]
-        self._default_tid = state["default_tid"]
-        self._default_min_tsc = state["default_min_tsc"]
-        self._pending = state["pending"]
-        self._last_key = state["last_key"]
-        self._consumed = state["consumed"]
-        self._seq_remaining = state["seq_remaining"]
-        self._released_any = state["released_any"]
-        self._max_released_tsc = state["max_released_tsc"]
-        self._commit_tsc = state["commit_tsc"]
-        self._snapshot = state["snapshot"]
-        self._journal_dumps = state["journal_dumps"]
-        self._prior_steps = state["prior_steps"]
-        self._prior_holes = state["prior_holes"]
-        self._prior_anomalies = state["prior_anomalies"]
-        self._prior_events = state["prior_events"]
-        self._database = None
-        self._db_dirty = True
-        self.metrics.absorb(state["metrics"])
-        decoder_states = state["decoders"]
-        if decoder_states:
-            # Rebuild each thread's decoder against the *restored*
-            # metadata view -- the same snapshot + journal prefix the
-            # exporting decoder was bound to -- then adopt its
-            # mid-stream state, exactly the adopt_state handoff that
-            # already powers mid-stream database growth.
-            database = self._current_database()
-            batch_decoder = get_frontend(self._frontend_name).batch_decoder
-            for tid in sorted(decoder_states):
-                decoder = batch_decoder(
-                    database,
-                    self.jportal._lifter_for(database),
-                    metrics=self.metrics,
-                    tid=tid,
-                    policy=self.jportal.degradation_policy,
-                )
-                decoder.restore_state(decoder_states[tid])
-                self._decoders[tid] = decoder
-                self._columns[tid] = decoder._columns
 
     # -------------------------------------------------------------- ingestion
     def _flag_replay(self, reason: str) -> None:

@@ -747,51 +747,6 @@ class BatchEventDecoder:
         self._columns = previous._columns
         return self
 
-    def export_state(self) -> dict:
-        """The mid-stream state as a picklable dict (checkpointing).
-
-        Covers exactly the fields :meth:`adopt_state` hands over --
-        everything that differs between a fresh decoder and one that
-        has fed part of a stream.  The values are live references, not
-        copies: callers that persist the dict (the JPSC checkpoint)
-        pickle it immediately, which deep-copies on the way out.
-        """
-        return {
-            "stats": self.stats,
-            "bits": self._bits,
-            "cur": self._cur,
-            "pending": self._pending,
-            "walk": self._walk,
-            "post_loss": self._post_loss,
-            "desync": self._desync,
-            "segment_anomalies": self._segment_anomalies,
-            "segment_anomaly_start": self._segment_anomaly_start,
-            "stale": self._stale,
-            "cond_op": self._cond_op,
-            "columns": self._columns,
-        }
-
-    def restore_state(self, state: dict) -> "BatchEventDecoder":
-        """Adopt an :meth:`export_state` payload (checkpoint restore).
-
-        The decoder must be freshly constructed against the same
-        database contents the exporting decoder last saw; feeding then
-        resumes exactly where the exporter stopped.
-        """
-        self.stats = state["stats"]
-        self._bits = state["bits"]
-        self._cur = state["cur"]
-        self._pending = state["pending"]
-        self._walk = state["walk"]
-        self._post_loss = state["post_loss"]
-        self._desync = state["desync"]
-        self._segment_anomalies = state["segment_anomalies"]
-        self._segment_anomaly_start = state["segment_anomaly_start"]
-        self._stale = state["stale"]
-        self._cond_op = state["cond_op"]
-        self._columns = state["columns"]
-        return self
-
     def feed(self, stream: Sequence[Tuple[str, object]], columns):
         """Decode one chunk of the merged stream; resumable.
 

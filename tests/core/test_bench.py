@@ -4,9 +4,9 @@ The subject-running halves (:func:`repro.bench.run_table5`,
 :func:`repro.bench.run_archive_overhead`) are exercised by the real
 ``python -m repro.bench`` invocations that produce the committed
 ``BENCH_*.json``; these tests pin the parts CI correctness depends on --
-the merge format and the regression gates' aggregate decode-throughput,
-reconstruct-time and recovery-time math -- on synthetic numbers,
-without running any subject.
+the merge format, the regression gates' aggregate decode-throughput,
+reconstruct-time and recovery-time math, and the resilience checks --
+on synthetic numbers, without running any subject.
 """
 
 import json
@@ -178,6 +178,44 @@ class TestReconstructGate:
         ok, messages = check_regression(_entry(self._scaled(10.0)), path)
         assert ok
         assert not any("reconstruct" in message for message in messages)
+
+
+class TestResilienceGate:
+    """The resilience checks ride on the ``resilience`` run, if any."""
+
+    RUN = {"recovery_s": 1.0, "cold_replay_s": 1.0, "recovery_speedup": 1.0,
+           "checkpoint_overhead_fraction": 0.1}
+
+    def _check(self, tmp_path, **changes):
+        path = _baseline_file(tmp_path, BASE_ROWS)
+        entry = dict(_entry(BASE_ROWS), resilience=dict(self.RUN, **changes))
+        return check_regression(entry, path)
+
+    def test_recovery_within_tolerance_passes(self, tmp_path):
+        ok, messages = self._check(tmp_path, recovery_s=1.15)
+        assert ok
+        assert sum("resilience" in message for message in messages) == 2
+
+    def test_recovery_beyond_tolerance_fails(self, tmp_path):
+        ok, messages = self._check(tmp_path, recovery_s=1.5)
+        assert not ok
+        flagged = [message for message in messages if "REGRESSION" in message]
+        assert len(flagged) == 1 and "cold replay" in flagged[0]
+
+    def test_checkpoint_costing_the_polls_fails(self, tmp_path):
+        for overhead in (1.0, 17.4):
+            ok, messages = self._check(
+                tmp_path, checkpoint_overhead_fraction=overhead
+            )
+            assert not ok, overhead
+            flagged = [m for m in messages if "REGRESSION" in m]
+            assert len(flagged) == 1 and "checkpoint" in flagged[0], overhead
+
+    def test_run_without_resilience_skips_both_checks(self, tmp_path):
+        path = _baseline_file(tmp_path, BASE_ROWS)
+        ok, messages = check_regression(_entry(BASE_ROWS), path)
+        assert ok
+        assert not any("resilience" in message for message in messages)
 
 
 class TestRunId:

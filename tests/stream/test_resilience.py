@@ -58,6 +58,16 @@ from .conftest import (
 #: Seed breadth the ISSUE names for the kill/restart property block.
 RESILIENCE_SEEDS = 200
 
+#: Seeds for the side-by-side restored-vs-uninterrupted delta check.
+DELTA_SEEDS = 40
+
+#: The ``FlowDelta`` fields a restored tenant must reproduce exactly
+#: (everything but wall-clock latency and the degradation markers).
+DELTA_FIELDS = (
+    "new_steps", "cursors", "new_holes", "new_anomalies", "salvage_events",
+    "pending_entries", "lag_segments", "segments", "records", "sealed",
+)
+
 
 # ------------------------------------------------------------ shared helpers
 class _Clock:
@@ -99,6 +109,27 @@ class _StallHooks:
 
     def read_limit(self, available):
         return None
+
+
+class _ShortRead:
+    """I/O hooks that leave the last few available bytes unread, so the
+    reader's offset stops inside the newest record."""
+
+    def before_read(self, reader) -> None:
+        pass
+
+    def read_limit(self, available):
+        return max(1, available - 3)
+
+
+class _MkdirOnUnpickle:
+    """A pickle payload whose load has a side effect (creates a dir)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
 
 
 def _sealed_archive(fixture, tmp_path, name, flavour="lossless"):
@@ -184,6 +215,30 @@ class TestCheckpointCodec:
                 resilience.ANOMALY_CORRUPT,
                 resilience.ANOMALY_VERSION_SKEW,
             ), (seed, fault.detail, anomaly)
+
+    def test_pickled_body_is_never_unpickled(self, tmp_path):
+        """A correctly framed sidecar cannot run code on load: the body
+        is JSON, so a pickle with a side-effecting ``__reduce__`` loads
+        as corrupt and the side effect never happens."""
+        import pickle
+
+        marker = str(tmp_path / "created_by_unpickling")
+        payload = pickle.dumps({"polls": _MkdirOnUnpickle(marker)})
+        path = str(tmp_path / "hostile.jpsc")
+        with open(path, "wb") as sink:
+            sink.write(resilience._HEADER.pack(
+                resilience.CHECKPOINT_MAGIC,
+                resilience.CHECKPOINT_VERSION,
+                hashlib.sha256(payload).digest(),
+                len(payload),
+            ) + payload)
+        assert load_checkpoint(path) == (None, resilience.ANOMALY_CORRUPT)
+        assert not os.path.exists(marker)
+
+    def test_non_object_json_body_is_corrupt(self, tmp_path):
+        path = str(tmp_path / "list.jpsc")
+        resilience.write_checkpoint_file(path, [1, 2, 3])
+        assert load_checkpoint(path) == (None, resilience.ANOMALY_CORRUPT)
 
     def test_store_failure_counts_not_raises(self, stream_fixture, tmp_path):
         path = _sealed_archive(stream_fixture, tmp_path, "store.rpt2")
@@ -334,6 +389,49 @@ class TestSupervisorResume:
         baseline = jportal.analyze_archive(str(path))
         assert_results_identical(result, baseline, "supervisor resume")
         supervisor.close()
+
+    def test_restored_tenant_continues_the_deltas(
+        self, stream_fixture, tmp_path
+    ):
+        """Restored == uninterrupted holds poll by poll, not only at
+        finalize: after the kill, the restored tenant and the tenant it
+        was checkpointed from emit the same next delta."""
+        jportal = stream_fixture["jportal"]
+        mid_record = 0
+        for seed in range(DELTA_SEEDS):
+            rng = random.Random(8_000_000 + seed)
+            flavour = "lossy" if seed % 2 else "lossless"
+            path = tmp_path / ("delta_%d.rpt2" % seed)
+            ckpt = str(path) + ".jpsc"
+            simulator = GrowingArchiveSimulator(
+                stream_fixture[flavour], stream_fixture["database"], path
+            )
+            tenant = StreamDecoder(jportal, str(path), name="delta")
+            kill_when_remaining = rng.randrange(2, simulator.remaining)
+            while simulator.remaining > kill_when_remaining:
+                simulator.step(rng.randrange(1, 6))
+                tenant.poll()
+            if seed % 4 == 1:
+                # The cursor is taken right after a short read.
+                simulator.step(1)
+                tenant.reader.io_hooks = _ShortRead()
+                tenant.poll()
+                tenant.reader.io_hooks = None
+                mid_record += tenant.reader.buffered_bytes() > 0
+            assert tenant.write_checkpoint(ckpt) is not None
+            restored, anomaly = StreamDecoder.restore(
+                jportal, str(path), name="delta", checkpoint_path=ckpt
+            )
+            assert anomaly is None, seed
+            simulator.step(1)
+            expected, actual = tenant.poll(), restored.poll()
+            for field in DELTA_FIELDS:
+                assert getattr(actual, field) == getattr(expected, field), (
+                    seed, field,
+                )
+            assert restored.polls == tenant.polls, seed
+            simulator.finish()
+        assert mid_record, "no cursor sat mid-record"
 
     def test_missing_checkpoint_cold_starts(self, stream_fixture, tmp_path):
         path = _sealed_archive(stream_fixture, tmp_path, "cold.rpt2")
