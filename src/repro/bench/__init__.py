@@ -16,14 +16,15 @@ The committed baseline pair for the array-core PR:
 
 CI's ``perf-smoke`` job reruns a reduced subject matrix and calls
 :func:`check_regression` against the committed ``post`` entry, failing
-on a >20% decode-throughput drop, a >20% rise in aggregate reconstruct
-or recovery time, a checkpoint restore slower than a cold replay
-(beyond the same 20%), or checkpoint writes costing as much as the
-polls they protect (see ``--check-against``).
+on a >20% decode-throughput drop, a >20% rise in aggregate split,
+reconstruct or recovery time, a checkpoint restore slower than a cold
+replay (beyond the same 20%), or checkpoint writes costing as much as
+the polls they protect (see ``--check-against``).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -110,6 +111,7 @@ def run_table5(
         timings = result.timings
         rows[name] = {
             "pt_bytes": pt_bytes,
+            "split_s": result.metrics.timing("split"),
             "decode_s": timings.decode_seconds,
             "reconstruct_s": timings.reconstruct_seconds,
             "recovery_s": timings.recovery_seconds,
@@ -130,6 +132,7 @@ def _totals(rows: Dict[str, Dict[str, float]]) -> Dict[str, float]:
     dt = decode + total("reconstruct_s")
     return {
         "pt_bytes": pt_bytes,
+        "split_s": total("split_s"),
         "decode_s": decode,
         "reconstruct_s": total("reconstruct_s"),
         "recovery_s": total("recovery_s"),
@@ -317,6 +320,9 @@ def run_resilience(subject_name: str = "luindex") -> Dict[str, object]:
         reference = tenant.finalize()
         archive_bytes = os.path.getsize(path)
 
+        # Both restarts start from the same collector state, as in
+        # perfbench: a full collection must not land in only one window.
+        gc.collect()
         started = time.perf_counter()
         restored, anomaly = StreamDecoder.restore(
             jportal, path, name="restored", checkpoint_path=half_sidecar
@@ -333,6 +339,7 @@ def run_resilience(subject_name: str = "luindex") -> Dict[str, object]:
                 % restored.replay_reason
             )
 
+        gc.collect()
         started = time.perf_counter()
         cold = StreamDecoder(jportal, path, name="cold").finalize()
         cold_seconds = time.perf_counter() - started
@@ -537,14 +544,15 @@ def check_regression(
     deterministic, so a reduced CI matrix stays comparable with the full
     committed run, and aggregating over subjects averages out the
     per-subject timer noise that dominates sub-100ms decodes.
-    Per-subject ratios are reported informationally.  Two more gates
-    cover projection and hole recovery: the aggregate ``reconstruct_s``
-    and ``recovery_s`` over the same subjects may not rise beyond
-    *tolerance* (each skipped when the baseline rows predate its
-    column).  When *current* carries a ``resilience`` run, restoring
-    from its half-way checkpoint may not take longer than a cold
-    replay beyond *tolerance*, and its ``checkpoint_overhead_fraction``
-    must stay below 1.0.  Returns ``(ok, messages)``; any aggregate
+    Per-subject ratios are reported informationally.  Three more gates
+    cover thread reassembly, projection and hole recovery: the aggregate
+    ``split_s``, ``reconstruct_s`` and ``recovery_s`` over the same
+    subjects may not rise beyond *tolerance* (each skipped, with a "not
+    gated" line, when the baseline rows predate its column).  When
+    *current* carries a ``resilience`` run, restoring from its half-way
+    checkpoint may not take longer than a cold replay beyond
+    *tolerance*, and its ``checkpoint_overhead_fraction`` must stay
+    below 1.0.  Returns ``(ok, messages)``; any aggregate
     regressing beyond *tolerance* (fractional), or either resilience
     check failing, flips ``ok``.  Host differences are real differences
     here -- the committed baseline names its host, and the perf-smoke
@@ -587,10 +595,13 @@ def check_regression(
     if not ok:
         verdict += "  REGRESSION (>%d%%)" % round(tolerance * 100)
     messages.append(verdict)
-    for phase in ("reconstruct", "recovery"):
+    for phase in ("split", "reconstruct", "recovery"):
         column = phase + "_s"
         if not all(column in baseline[n] for n in names):
-            continue  # baseline predates this column
+            messages.append(
+                "aggregate   %s not gated (baseline predates column)" % phase
+            )
+            continue
         base_time = sum(baseline[n][column] for n in names)
         cur_time = sum(current_rows[n][column] for n in names)
         ratio = cur_time / base_time if base_time else 1.0

@@ -26,8 +26,10 @@ per-thread stream is then a TSC-ordered list of
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import attrgetter, le
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..jvm.machine import ThreadSwitchRecord
@@ -123,7 +125,18 @@ def split_loss_at_switches(
 
 
 def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
-    """Reassemble per-thread streams from a collected :class:`PTTrace`."""
+    """Reassemble per-thread streams from a collected :class:`PTTrace`.
+
+    Each core's packets are cut into windows at its switch timestamps; a
+    packet belongs to the last record at or below its tsc (on equal
+    timestamps the last record wins).  A loss sits after the packets with
+    ``tsc <= start_tsc``.  Per thread the order is ``(tsc, sequence)``,
+    the sequence being core order, then position within the core.  Runs
+    are appended in sequence order and each thread's concatenation gets
+    one stable sort on the timestamp key (a single pass when one core fed
+    the thread).  That sort, not the runs' first timestamps, is what
+    orders equal-timestamp entries across a migration.
+    """
     # Switch records per core, sorted by (possibly jittered) timestamp.
     switches_by_core: Dict[int, List[ThreadSwitchRecord]] = {}
     for record in trace.thread_switches:
@@ -140,11 +153,16 @@ def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
 
     source = getattr(trace.config, "frontend", "pt") or "pt"
 
-    # Window items per thread: (tsc, sequence, tag, item).  The running
-    # sequence number keeps the original per-core order among items with
-    # equal timestamps.
-    gathered: Dict[int, List[Tuple[int, int, str, object]]] = {}
-    sequence = 0
+    # Per thread, in sequence order: the entries and their timestamp keys.
+    streams: Dict[int, TaggedStream] = {}
+    keys: Dict[int, List[int]] = {}
+
+    def emit(tid: int, entries: TaggedStream, entry_keys: List[int]) -> None:
+        if tid not in streams:
+            streams[tid], keys[tid] = [], []
+        streams[tid] += entries
+        keys[tid] += entry_keys
+
     for core_trace in trace.cores:
         records = switches_by_core.get(core_trace.core, [])
         timestamps = [record.tsc for record in records]
@@ -157,36 +175,50 @@ def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
                 return records[0].tid if records else default_tid
             return records[position].tid
 
-        merged: List[Tuple[int, str, object]] = []
-        for packet in core_trace.packets:
-            merged.append((packet.tsc, "packet", packet))
-        for loss in core_trace.losses:
-            merged.append((loss.start_tsc, "loss", loss))
-        merged.sort(key=lambda entry: entry[0])
-        for tsc, tag, item in merged:
-            if tag == "loss":
+        packets = core_trace.packets
+        tscs = list(map(attrgetter("tsc"), packets))
+        if not all(map(le, tscs, islice(tscs, 1, None))):
+            # Salvaged archives can be out of order: stable sort first.
+            order = sorted(range(len(tscs)), key=tscs.__getitem__)
+            packets = list(map(packets.__getitem__, order))
+            tscs = list(map(tscs.__getitem__, order))
+        entries = list(zip(repeat("packet"), packets))
+
+        # Window k owns packets [cuts[k][0], cuts[k + 1][0]).
+        cuts = [(0, records[0].tid if records else default_tid)]
+        position = 0
+        for record in records[1:]:
+            position = bisect_left(tscs, record.tsc, position)
+            cuts.append((position, record.tid))
+        cuts.append((len(tscs), None))
+
+        losses = sorted(core_trace.losses, key=attrgetter("start_tsc"))
+        next_loss = 0
+        for (start, tid), (end, _) in zip(cuts, cuts[1:]):
+            while next_loss < len(losses):
+                loss = losses[next_loss]
+                at = bisect_right(tscs, loss.start_tsc, start)
+                if at > end:
+                    break
+                if start < at:
+                    emit(tid, entries[start:at], tscs[start:at])
+                    start = at
                 # A loss span crossing switch boundaries is cut per
                 # owner; the pieces stay contiguous at the original
-                # stream position (sort key = the span's start) so the
+                # stream position (key = the span's start) so the
                 # streaming release order reproduces this exactly.
-                for tid, piece in split_loss_at_switches(
-                    item, timestamps, owner_of
+                for piece_tid, piece in split_loss_at_switches(
+                    loss, timestamps, owner_of
                 ):
-                    gathered.setdefault(tid, []).append(
-                        (tsc, sequence, tag, piece)
-                    )
-                    sequence += 1
-            else:
-                tid = owner_of(tsc)
-                gathered.setdefault(tid, []).append((tsc, sequence, tag, item))
-                sequence += 1
+                    emit(piece_tid, [("loss", piece)], [loss.start_tsc])
+                next_loss += 1
+            if start < end:
+                emit(tid, entries[start:end], tscs[start:end])
 
     threads: Dict[int, ThreadTrace] = {}
-    for tid, entries in gathered.items():
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        threads[tid] = ThreadTrace(
-            tid=tid,
-            stream=[(tag, item) for _, _, tag, item in entries],
-            source=source,
-        )
+    for tid, stream in streams.items():
+        # A stable sort keeps sequence order among equal timestamps.
+        order = sorted(range(len(stream)), key=keys[tid].__getitem__)
+        stream = list(map(stream.__getitem__, order))
+        threads[tid] = ThreadTrace(tid=tid, stream=stream, source=source)
     return threads

@@ -5,8 +5,8 @@ The subject-running halves (:func:`repro.bench.run_table5`,
 ``python -m repro.bench`` invocations that produce the committed
 ``BENCH_*.json``; these tests pin the parts CI correctness depends on --
 the merge format, the regression gates' aggregate decode-throughput,
-reconstruct-time and recovery-time math, and the resilience checks --
-on synthetic numbers, without running any subject.
+split-time, reconstruct-time and recovery-time math, and the resilience
+checks -- on synthetic numbers, without running any subject.
 """
 
 import json
@@ -66,7 +66,8 @@ class TestRegressionGate:
         }
         ok, messages = check_regression(_entry(slower), path)
         assert not ok
-        assert "REGRESSION" in messages[-1]
+        (verdict,) = [m for m in messages if m.startswith("aggregate   decode")]
+        assert "REGRESSION" in verdict
 
     def test_single_subject_noise_does_not_fail_aggregate(self, tmp_path):
         """One small subject slowing down is absorbed when the bulk of
@@ -85,7 +86,8 @@ class TestRegressionGate:
             _entry({"a": BASE_ROWS["a"]}), path, subjects=("a",)
         )
         assert ok
-        assert len(messages) == 2  # one subject + the aggregate line
+        # One subject + the aggregate line.
+        assert sum("decode throughput" in message for message in messages) == 2
 
     def test_missing_baseline_fails_without_raising(self, tmp_path):
         ok, messages = check_regression(
@@ -125,9 +127,9 @@ class TestRecoveryGate:
         path = _baseline_file(tmp_path, self.ROWS)
         ok, messages = check_regression(_entry(self._scaled(2.0)), path)
         assert not ok
-        assert "recovery" in messages[-1] and "REGRESSION" in messages[-1]
         # Decode throughput is unchanged: only the recovery gate fired.
-        assert "REGRESSION" not in messages[-2]
+        flagged = [message for message in messages if "REGRESSION" in message]
+        assert len(flagged) == 1 and "recovery" in flagged[0]
 
     def test_recovery_speedup_passes(self, tmp_path):
         path = _baseline_file(tmp_path, self.ROWS)
@@ -145,7 +147,9 @@ class TestRecoveryGate:
         path = _baseline_file(tmp_path, BASE_ROWS)
         ok, messages = check_regression(_entry(self._scaled(10.0)), path)
         assert ok
-        assert not any("recovery" in message for message in messages)
+        assert [m for m in messages if "recovery" in m] == [
+            "aggregate   recovery not gated (baseline predates column)"
+        ]
 
 
 class TestReconstructGate:
@@ -177,7 +181,57 @@ class TestReconstructGate:
         path = _baseline_file(tmp_path, TestRecoveryGate.ROWS)
         ok, messages = check_regression(_entry(self._scaled(10.0)), path)
         assert ok
-        assert not any("reconstruct" in message for message in messages)
+        assert [m for m in messages if "reconstruct" in m] == [
+            "aggregate   reconstruct not gated (baseline predates column)"
+        ]
+
+
+class TestSplitGate:
+    """``split_by_thread`` time (``split_s``) is gated like the other
+    phases, and a baseline without the column says so."""
+
+    ROWS = {
+        name: dict(row, split_s=row["recovery_s"] / 4)
+        for name, row in TestReconstructGate.ROWS.items()
+    }
+
+    def _scaled(self, factor):
+        return {
+            name: dict(row, split_s=row["split_s"] * factor)
+            for name, row in self.ROWS.items()
+        }
+
+    def test_unchanged_split_passes(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, messages = check_regression(_entry(self.ROWS), path)
+        assert ok
+        (line,) = [m for m in messages if "split" in m]
+        assert "(1.00x)" in line and "not gated" not in line
+
+    def test_split_slowdown_beyond_tolerance_fails(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, messages = check_regression(_entry(self._scaled(1.3)), path)
+        assert not ok
+        flagged = [message for message in messages if "REGRESSION" in message]
+        assert len(flagged) == 1 and "split" in flagged[0]
+
+    def test_split_within_tolerance_passes(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, _messages = check_regression(_entry(self._scaled(1.15)), path)
+        assert ok
+
+    def test_baseline_without_split_column_skips_gate(self, tmp_path):
+        path = _baseline_file(tmp_path, TestReconstructGate.ROWS)
+        ok, messages = check_regression(_entry(self._scaled(10.0)), path)
+        assert ok
+        assert [m for m in messages if "split" in m] == [
+            "aggregate   split not gated (baseline predates column)"
+        ]
+        # The columns the baseline has are still gated.
+        assert (
+            "aggregate   reconstruct 4.000s vs baseline 4.000s (1.00x)"
+            in messages
+        )
 
 
 class TestResilienceGate:

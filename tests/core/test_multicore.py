@@ -1,6 +1,13 @@
 """Unit tests for per-core -> per-thread trace reassembly (Section 6)."""
 
-from repro.core.multicore import split_by_thread, split_loss_at_switches
+import random
+from bisect import bisect_right
+
+from repro.core.multicore import (
+    ThreadTrace,
+    split_by_thread,
+    split_loss_at_switches,
+)
 from repro.jvm.jit import JITPolicy
 from repro.jvm.machine import ThreadSwitchRecord
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig
@@ -297,3 +304,177 @@ class TestLossSplitting:
         assert split_packets == sum(l.packets_lost for l in losses)
         # Every thread that owned the core inside a hole sees a share.
         assert all(threads[tid].loss_count() for tid in (0, 1, 2))
+
+
+def _reference_split_by_thread(trace):
+    """The per-packet reassembly the window-sliced split must reproduce:
+    every packet and loss attributed on its own, then one sort by
+    ``(tsc, sequence)`` per thread."""
+    # Switch records per core, sorted by (possibly jittered) timestamp.
+    switches_by_core = {}
+    for record in trace.thread_switches:
+        switches_by_core.setdefault(record.core, []).append(record)
+    for records in switches_by_core.values():
+        records.sort(key=lambda record: record.tsc)
+
+    # A core with packets but no switch records has no sideband at all;
+    # attributing to tid 0 would invent a phantom thread whenever tid 0
+    # never ran there.  Fall back to the earliest owner observed anywhere.
+    default_tid = 0
+    if trace.thread_switches:
+        default_tid = min(trace.thread_switches, key=lambda record: record.tsc).tid
+
+    source = getattr(trace.config, "frontend", "pt") or "pt"
+
+    # Window items per thread: (tsc, sequence, tag, item).  The running
+    # sequence number keeps the original per-core order among items with
+    # equal timestamps.
+    gathered = {}
+    sequence = 0
+    for core_trace in trace.cores:
+        records = switches_by_core.get(core_trace.core, [])
+        timestamps = [record.tsc for record in records]
+
+        def owner_of(tsc):
+            position = bisect_right(timestamps, tsc) - 1
+            if position < 0:
+                # Before the first switch: attribute to this core's first
+                # real owner (never a phantom tid 0).
+                return records[0].tid if records else default_tid
+            return records[position].tid
+
+        merged = []
+        for packet in core_trace.packets:
+            merged.append((packet.tsc, "packet", packet))
+        for loss in core_trace.losses:
+            merged.append((loss.start_tsc, "loss", loss))
+        merged.sort(key=lambda entry: entry[0])
+        for tsc, tag, item in merged:
+            if tag == "loss":
+                # A loss span crossing switch boundaries is cut per
+                # owner; the pieces stay contiguous at the original
+                # stream position (sort key = the span's start) so the
+                # streaming release order reproduces this exactly.
+                for tid, piece in split_loss_at_switches(
+                    item, timestamps, owner_of
+                ):
+                    gathered.setdefault(tid, []).append(
+                        (tsc, sequence, tag, piece)
+                    )
+                    sequence += 1
+            else:
+                tid = owner_of(tsc)
+                gathered.setdefault(tid, []).append((tsc, sequence, tag, item))
+                sequence += 1
+
+    threads = {}
+    for tid, entries in gathered.items():
+        entries.sort(key=lambda entry: (entry[0], entry[1]))
+        threads[tid] = ThreadTrace(
+            tid=tid,
+            stream=[(tag, item) for _, _, tag, item in entries],
+            source=source,
+        )
+    return threads
+
+
+def _random_trace(rng):
+    """A small trace exercising every attribution corner: duplicate
+    switch timestamps, packets before a core's first switch, cores
+    without sideband, sideband naming a packet-less core, unsorted
+    cores, one tid on several cores, shuffled core order, both
+    frontends, and losses that start on a packet, span several switches,
+    or end before they start."""
+    horizon = rng.randint(4, 60)
+    tids = range(rng.randint(1, 4))
+    core_ids = list(range(rng.randint(1, 4)))
+    switches = [
+        ThreadSwitchRecord(
+            core=core, tid=rng.choice(tids), tsc=rng.randint(0, horizon)
+        )
+        for core in core_ids + [len(core_ids)]  # the last has no packets
+        if rng.random() < 0.85
+        for _ in range(rng.randint(1, 6))
+    ]
+    rng.shuffle(switches)
+    cores = []
+    for core in core_ids:
+        packets = [_tip(rng.randint(0, horizon)) for _ in range(rng.randint(0, 24))]
+        if rng.random() < 0.7:
+            packets.sort(key=lambda packet: packet.tsc)
+        losses = []
+        for _ in range(rng.randint(0, 3)):
+            if packets and rng.random() < 0.5:
+                start = rng.choice(packets).tsc
+            else:
+                start = rng.randint(0, horizon)
+            losses.append(
+                AuxLossRecord(
+                    start_tsc=start,
+                    end_tsc=start + rng.randint(-4, horizon // 2),
+                    bytes_lost=rng.randrange(0, 500),
+                    packets_lost=rng.randrange(0, 20),
+                )
+            )
+        cores.append(
+            CoreTrace(
+                core=core,
+                packets=packets,
+                losses=losses,
+                bytes_generated=0,
+                bytes_lost=0,
+                encoder_stats=None,
+            )
+        )
+    rng.shuffle(cores)
+    config = PTConfig(frontend=rng.choice(("pt", "etrace")))
+    return PTTrace(cores=cores, thread_switches=switches, config=config)
+
+
+class TestWindowSlicedSplit:
+    """Differential test: the window-sliced split against the per-packet
+    reference, entry by entry."""
+
+    TRACES = 2000
+
+    def test_matches_per_packet_reference(self):
+        rng = random.Random(20261017)
+        multi_core_tids = equal_tsc_migrations = unsorted_cores = 0
+        for case in range(self.TRACES):
+            trace = _random_trace(rng)
+            expected = _reference_split_by_thread(trace)
+            threads = split_by_thread(trace)
+            assert set(threads) == set(expected), case
+            for tid, reference in expected.items():
+                stream = threads[tid].stream
+                assert threads[tid].source == reference.source, case
+                assert [tag for tag, _ in stream] == [
+                    tag for tag, _ in reference.stream
+                ], (case, tid)
+                for (tag, item), (_, want) in zip(stream, reference.stream):
+                    if tag == "packet":
+                        assert item is want, (case, tid)
+                    else:
+                        assert item == want, (case, tid)
+            core_of = {
+                id(packet): core_trace.core
+                for core_trace in trace.cores
+                for packet in core_trace.packets
+            }
+            unsorted_cores += sum(
+                [p.tsc for p in core_trace.packets]
+                != sorted(p.tsc for p in core_trace.packets)
+                for core_trace in trace.cores
+            )
+            for reference in expected.values():
+                packets = [item for tag, item in reference.stream if tag == "packet"]
+                multi_core_tids += len({core_of[id(p)] for p in packets}) > 1
+                equal_tsc_migrations += sum(
+                    left.tsc == right.tsc
+                    and core_of[id(left)] != core_of[id(right)]
+                    for left, right in zip(packets, packets[1:])
+                )
+        # The generator must keep producing the cases the merge exists for.
+        assert multi_core_tids >= 50
+        assert equal_tsc_migrations >= 50
+        assert unsorted_cores >= 50

@@ -12,6 +12,11 @@ A separate block pins the *fast path*: on a dump-free (interpreted-only)
 tenant with a clean seal, the incremental decoder must never fall back
 to batch replay, and must still be bit-identical.
 
+``TestStreamUnderSidebandJitter`` runs the same identity where jittered
+switch timestamps move packets between threads: there the stream's
+per-entry attribution and the batch ``split_by_thread`` windows are each
+other's independent oracle.
+
 ``TestTailReaderPending`` covers the satellite fix directly: an
 unsealed, growing archive's incomplete tail means "more data coming"
 (no salvage event, bytes stay pending), while the same bytes at true
@@ -24,9 +29,15 @@ import hashlib
 import os
 import random
 
+from repro.core import JPortal
+from repro.core.metadata import collect_metadata
+from repro.core.multicore import split_by_thread
 from repro.pt.archive import ArchiveTailReader, read_archive, write_archive
+from repro.pt.perf import collect
 from repro.stream import StreamDecoder
+from repro.workloads import build_subject, default_config
 
+from ..conftest import lossy_config
 from .conftest import (
     SEGMENT_PACKETS,
     GrowingArchiveSimulator,
@@ -127,6 +138,52 @@ class TestStreamProperty:
             assert_results_identical(streamed, baseline, note)
             os.unlink(path)
             os.unlink(str(path) + ".meta")
+
+
+class TestStreamUnderSidebandJitter:
+    """Two multi-threaded lossy runs x switch-timestamp jitter: the
+    streamed finalize must equal batch with no replay."""
+
+    JITTERS = (3, 9, 40)
+
+    def test_jittered_sideband_finalize_equals_batch(self, tmp_path):
+        for name, size in (("h2", 30), ("pmd", 4)):
+            subject = build_subject(name, size=size)
+            jportal = JPortal(subject.program, engine="array")
+            clean_owners = None
+            for jitter in (0,) + self.JITTERS:
+                run = subject.run(
+                    default_config(cores=2, switch_timestamp_jitter=jitter)
+                )
+                trace = collect(run, lossy_config(capacity=600, bandwidth=0.1))
+                owners = {
+                    tid: thread.packet_count()
+                    for tid, thread in split_by_thread(trace).items()
+                }
+                if not jitter:
+                    clean_owners = owners
+                    continue
+                note = "%s jitter=%d" % (name, jitter)
+                # The jitter must move packets between threads, or this
+                # compares nothing the clean suites do not.
+                assert owners != clean_owners, note
+                rng = random.Random(jitter)
+                path = tmp_path / ("%s_%d.rpt2" % (name, jitter))
+                simulator = GrowingArchiveSimulator(
+                    trace, collect_metadata(run), path
+                )
+                tenant = StreamDecoder(jportal, str(path), name=note)
+                while simulator.remaining:
+                    simulator.step(rng.randrange(1, 6))
+                    if rng.random() < 0.7:
+                        tenant.poll()
+                simulator.finish()
+                tenant.poll()
+                streamed = tenant.finalize()
+                assert tenant.replayed is False, (note, tenant.replay_reason)
+                assert_results_identical(
+                    streamed, jportal.analyze_archive(str(path)), note
+                )
 
 
 class TestTailReaderPending:
