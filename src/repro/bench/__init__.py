@@ -4,15 +4,14 @@ The pytest benchmarks under ``benchmarks/`` assert *shapes*; this module
 records *numbers*.  One invocation runs the Table 5 decode/recovery
 measurement (every DaCapo-style subject, the same ``BUFFER_128``
 calibration the pytest suite uses) plus the archive-overhead benchmark,
-and merges the result -- tagged with a host/timestamp run id and the
-decode engine -- into a ``BENCH_<date>.json`` file.  Committing that
-file per PR gives the repo a perf trajectory that survives host changes
-(every entry names its host) and makes regressions diffable.
+and merges the result -- tagged with a host/timestamp run id -- into a
+``BENCH_<date>.json`` file.  Committing that file per PR gives the repo
+a perf trajectory that survives host changes (every entry names its
+host) and makes regressions diffable.
 
-The committed baseline pair for the array-core PR:
-
-* ``pre``  -- ``--engine object``: the original per-item decode core;
-* ``post`` -- ``--engine array``: the fused columnar core.
+The committed ``BENCH_2026-08-08.json`` holds two runs: ``pre``, measured
+on the per-item object decode core that has since been deleted (kept as
+history), and ``post``, the fused columnar core every run now uses.
 
 CI's ``perf-smoke`` job reruns a reduced subject matrix and calls
 :func:`check_regression` against the committed ``post`` entry, failing
@@ -85,7 +84,6 @@ def _subject_setup(name: str):
 
 
 def run_table5(
-    engine: str = "array",
     subjects: Optional[Iterable[str]] = None,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, object]:
@@ -102,7 +100,6 @@ def run_table5(
             recovery=RecoveryConfig(
                 cost_per_instruction=run.config.compiled_step_cost
             ),
-            engine=engine,
             cache_dir=cache_dir,
         )
         trace = collect(run, config)
@@ -203,7 +200,6 @@ def run_stream_lag(subject_name: str = "luindex") -> Dict[str, object]:
         recovery=RecoveryConfig(
             cost_per_instruction=run.config.compiled_step_cost
         ),
-        engine="array",
     )
     latencies: List[float] = []
     max_lag = 0
@@ -288,7 +284,6 @@ def run_resilience(subject_name: str = "luindex") -> Dict[str, object]:
         recovery=RecoveryConfig(
             cost_per_instruction=run.config.compiled_step_cost
         ),
-        engine="array",
     )
     poll_times: List[float] = []
     checkpoint_times: List[float] = []
@@ -395,7 +390,6 @@ def run_cross_format(subject_name: str = "sunflow") -> Dict[str, object]:
         recovery=RecoveryConfig(
             cost_per_instruction=run.config.compiled_step_cost
         ),
-        engine="array",
     )
     results: Dict[str, object] = {
         "subject": subject_name,

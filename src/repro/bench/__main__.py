@@ -1,14 +1,8 @@
 """CLI for the perf trajectory: ``python -m repro.bench [options]``.
 
 Default invocation runs the full Table 5 matrix plus the archive
-overhead benchmark on the array engine and merges the entry into
-``BENCH_<today>.json`` under the label ``post``.  The committed baseline
-pair is produced with::
-
-    python -m repro.bench --engine object --label pre
-    python -m repro.bench --engine array  --label post
-
-and CI's perf-smoke gate with::
+overhead benchmark and merges the entry into ``BENCH_<today>.json``
+under the label ``post``; CI's perf-smoke gate runs::
 
     python -m repro.bench --subjects avrora,h2,luindex --skip-archive \\
         --label ci-smoke --out /tmp/bench_ci.json \\
@@ -38,10 +32,6 @@ from . import (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench", description=__doc__
-    )
-    parser.add_argument(
-        "--engine", choices=("array", "object"), default="array",
-        help="decode core to benchmark (default: array)",
     )
     parser.add_argument(
         "--label", default="post",
@@ -106,11 +96,8 @@ def main(argv=None) -> int:
     out = args.out or ("BENCH_%s.json" % time.strftime("%Y-%m-%d"))
 
     entry = dict(run_id())
-    entry["engine"] = args.engine
-    print("bench: engine=%s subjects=%s" % (args.engine, subjects or "all"))
-    entry["table5"] = run_table5(
-        engine=args.engine, subjects=subjects, cache_dir=args.cache_dir
-    )
+    print("bench: subjects=%s" % (subjects or "all",))
+    entry["table5"] = run_table5(subjects=subjects, cache_dir=args.cache_dir)
     totals = entry["table5"]["totals"]
     print(
         "bench: decode %.3fs over %d bytes -> %.1f KB/s (decode), %.1f KB/s (DT)"

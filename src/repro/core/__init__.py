@@ -23,7 +23,7 @@ from .metadata import CodeDatabase, CodeDump, collect_metadata
 from .metrics import MetricsRegistry
 from .multicore import ThreadTrace, split_by_thread
 from .nfa import DFA, NFA, ProgramNFA, abstract_method_nfa, determinize, method_nfa
-from .observed import ObservedColumns, ObservedHole, ObservedStep, ObservedTrace
+from .observed import ObservedColumns, ObservedHole, ObservedStep
 from .parallel import ParallelPipeline, ideal_makespan
 from .pipeline import (
     JPortal,
@@ -83,7 +83,6 @@ __all__ = [
     "ObservedColumns",
     "ObservedHole",
     "ObservedStep",
-    "ObservedTrace",
     "JPortal",
     "JPortalResult",
     "ParallelismReport",

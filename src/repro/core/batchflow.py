@@ -1,14 +1,26 @@
-"""Fused decode+lift support for the array decode core.
+"""JIT-mode bytecode lifting for the fused decoder (paper Section 3.2).
+
+A compiled-code walk yields the machine instruction addresses executed
+inside compiled code (Figure 3(d)).  The compiler's debug info maps each
+address that implements a bytecode to its ``(method, bci)`` -- with
+inline frames for inlined code, whose innermost entry is the executing
+location (Section 6, "Dealing with Inlined Code").  Synthetic
+instructions (prologues, layout jumps) carry no debug record and are
+skipped, exactly as a real decoder skips PCs without a scope descriptor;
+so are negative-bci markers.  A debug record that no longer *resolves*
+-- the method name does not parse, the program has no such method, the
+bci runs off the end of the bytecode -- is a stale-export symptom (code
+reclaimed before its metadata was flushed): the instruction is skipped
+and counted under ``lift.stale_debug_entries`` rather than crashing the
+lift.
 
 :class:`repro.pt.decoder.PTBatchDecoder` walks compiled code
 block-at-a-time through :meth:`repro.core.metadata.CodeDatabase.walk_block`
 and needs each block's *lifted* form -- the observed-step columns its
-addresses contribute (paper Section 3.2 semantics: innermost debug frame,
-skip synthetic instructions and negative bcis, count stale records).
-:class:`JitLifter` supplies that as a cached :class:`BlockTemplate` per
-block, turning the per-address ``debug_frames_at`` + method-resolution
-work of :func:`repro.core.jit_decoder.lift_span` into tuple concatenations
-after the first traversal.
+addresses contribute.  :class:`JitLifter` supplies that as a cached
+:class:`BlockTemplate` per block, so after the first traversal a
+block's per-address ``debug_frames_at`` + method-resolution work is a
+handful of tuple concatenations.
 
 Cache safety: a block only exists when every address in it has exactly
 one exported candidate dump (see ``walk_block``), which makes both the
@@ -45,7 +57,7 @@ class BlockTemplate:
     *last* address's contribution -- what a TNT-starved walk emits before
     suspending at the block's conditional.  ``stale``/``body_stale``
     count debug records that no longer resolve (re-counted on every
-    traversal, like the object lifter).
+    traversal, so the stale counter counts executions, not records).
     """
 
     __slots__ = (

@@ -144,8 +144,11 @@ def collect_metadata(run: RunResult) -> "CodeDatabase":
 class CodeDatabase:
     """Offline index over exported machine-code metadata.
 
-    Implements the protocol :class:`repro.pt.decoder.PTDecoder` expects,
-    plus the debug-info queries of the JIT-mode bytecode mapper.
+    Implements the code-database protocol of the decode engine
+    (:mod:`repro.tracesource.engine`: ``classify_target``,
+    ``op_is_conditional``, ``walk_block``, ``native_instruction_at``),
+    plus the debug-info queries of the JIT-mode lifter
+    (:class:`repro.core.batchflow.JitLifter`).
     """
 
     def __init__(
@@ -222,11 +225,10 @@ class CodeDatabase:
     def classify_target(self, ip: int) -> Tuple[int, Optional[Op]]:
         """Memoized TIP-target classification: ``(class, template_op)``.
 
-        The class codes and the *query order* (return stub, then template,
-        then code cache, then unmapped) replicate the object decoder's
-        ``_on_tip`` exactly, so both cores route every TIP identically.
-        The mapping is a pure function of the immutable metadata, hence
-        safe to memoize for the lifetime of the database.
+        Classes are tested in order: return stub, then template, then
+        code cache, else unmapped.  The mapping is a pure function of
+        the immutable metadata, hence safe to memoize for the lifetime
+        of the database.
         """
         hit = self._target_class.get(ip)
         if hit is None:

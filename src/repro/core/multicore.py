@@ -20,7 +20,7 @@ one or more thread-switch boundaries is cut at each boundary
 apportioned by span fraction, so every thread that owned the core during
 the hole sees its share -- and per-core totals stay conserved.  Each
 per-thread stream is then a TSC-ordered list of
-``("packet" | "loss", item)`` entries ready for the trace-source engines
+``("packet" | "loss", item)`` entries ready for the trace-source engine
 (:mod:`repro.tracesource.engine`).
 """
 

@@ -8,15 +8,16 @@ different amounts of information:
   TNT outcome for conditionals) but *not* the bytecode position;
 * **JITed** code reveals the exact ``(method, bci)`` via debug info.
 
-Both become :class:`ObservedStep`; data-loss holes become
-:class:`ObservedHole`.  Reconstruction (Section 4) then projects observed
-steps onto the ICFG, using JIT-known locations as anchors, and recovery
-(Section 5) fills the holes.
+The decoder writes both kinds of step into the parallel columns of an
+:class:`ObservedColumns`, with data-loss holes (:class:`ObservedHole`)
+kept out of band.  Reconstruction (Section 4) then projects each
+hole-free run of steps onto the ICFG, using JIT-known locations as
+anchors, and recovery (Section 5) fills the holes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from ..jvm.opcodes import Op
@@ -65,22 +66,21 @@ ObservedItem = Union[ObservedStep, ObservedHole]
 
 
 class ObservedColumns:
-    """Columnar observed trace: the array decode core's native output.
+    """One thread's observed trace as columns: the decoder's output.
 
     The decode->project hot path never needs one object per observed
     step; it needs the step *columns*.  ``symbols``/``takens``/
     ``locations``/``sources``/``tscs`` are parallel lists (position ``i``
     across all five is step ``i``), holes are kept out-of-band as
     ``(position, hole)`` pairs where ``position`` is the number of steps
-    emitted before the hole, and anomalies are a count (matching what
-    :class:`ObservedTrace` retains after lifting).
+    emitted before the hole, and anomalies are a count.
+    :meth:`segment_ranges` cuts the columns into the hole-free runs that
+    projection consumes.
 
-    The class is duck-type compatible with :class:`ObservedTrace` --
-    ``tid``, ``anomalies``, ``items``, :meth:`steps`, :meth:`holes`,
-    :meth:`segments` all work -- so everything downstream of the pipeline
-    (benchmarks, profiling clients, tests) reads it unchanged.  ``items``
-    materialises real :class:`ObservedStep` objects lazily, exactly once:
-    the object view is a compatibility layer, paid for only when asked
+    ``items`` (steps interleaved with holes) and :meth:`steps` are object
+    views for consumers downstream of the pipeline (profiling clients,
+    benchmarks).  ``items`` materialises real :class:`ObservedStep`
+    objects lazily, exactly once: the view is paid for only when asked
     for, never inside the timed decode phase.
     """
 
@@ -129,8 +129,9 @@ class ObservedColumns:
         return len(self.symbols)
 
     def segment_ranges(self) -> List[Tuple[int, int]]:
-        """Maximal hole-free ``[lo, hi)`` column ranges (empties dropped),
-        mirroring :meth:`ObservedTrace.segments`."""
+        """Maximal hole-free ``[lo, hi)`` column ranges, in order; a run
+        between two adjacent holes (or at either end) is empty and
+        dropped."""
         result: List[Tuple[int, int]] = []
         previous = 0
         for position in self.hole_positions:
@@ -142,7 +143,7 @@ class ObservedColumns:
             result.append((previous, count))
         return result
 
-    # ------------------------------------------- ObservedTrace compatibility
+    # ----------------------------------------------------------- object views
     @property
     def items(self) -> List[ObservedItem]:
         cached = self._items
@@ -177,43 +178,9 @@ class ObservedColumns:
     def holes(self) -> List[ObservedHole]:
         return list(self._holes)
 
-    def segments(self) -> List[List[ObservedStep]]:
-        items = self.items
-        result: List[List[ObservedStep]] = []
-        current: List[ObservedStep] = []
-        for item in items:
-            if isinstance(item, ObservedStep):
-                current.append(item)
-            else:
-                if current:
-                    result.append(current)
-                current = []
-        if current:
-            result.append(current)
-        return result
-
-    def to_trace(self) -> ObservedTrace:
-        """An eager :class:`ObservedTrace` copy (equivalence tests)."""
-        return ObservedTrace(
-            tid=self.tid, items=list(self.items), anomalies=self.anomalies
-        )
-
     def __eq__(self, other) -> bool:
-        """Value equality over the observed content (mirrors the
-        dataclass equality of :class:`ObservedTrace`, which the
-        serial/parallel bit-identity tests compare through).
-
-        Also compares equal to an :class:`ObservedTrace` with the same
-        content: Python tries ``ObservedTrace.__eq__`` first (returns
-        ``NotImplemented`` across classes) and then reflects here, so
-        cross-engine flow comparisons (object core vs array core) work
-        with plain ``==``."""
-        if isinstance(other, ObservedTrace):
-            return (
-                self.tid == other.tid
-                and self.anomalies == other.anomalies
-                and self.items == other.items
-            )
+        """Value equality over the observed content (the serial/parallel
+        bit-identity tests compare flows through it)."""
         if not isinstance(other, ObservedColumns):
             return NotImplemented
         return (
@@ -228,35 +195,5 @@ class ObservedColumns:
             and self._holes == other._holes
         )
 
-    __hash__ = None  # mutable container, like the dataclass traces
+    __hash__ = None  # mutable container
 
-
-@dataclass
-class ObservedTrace:
-    """One thread's observed trace: steps interleaved with holes."""
-
-    tid: int
-    items: List[ObservedItem] = field(default_factory=list)
-    anomalies: int = 0
-
-    def steps(self) -> List[ObservedStep]:
-        return [item for item in self.items if isinstance(item, ObservedStep)]
-
-    def holes(self) -> List[ObservedHole]:
-        return [item for item in self.items if isinstance(item, ObservedHole)]
-
-    def segments(self) -> List[List[ObservedStep]]:
-        """Maximal hole-free runs of steps, in order (may include empties
-        collapsed away)."""
-        result: List[List[ObservedStep]] = []
-        current: List[ObservedStep] = []
-        for item in self.items:
-            if isinstance(item, ObservedStep):
-                current.append(item)
-            else:
-                if current:
-                    result.append(current)
-                current = []
-        if current:
-            result.append(current)
-        return result

@@ -70,7 +70,6 @@ def _process_init(payload: dict) -> None:
         recovery=payload["recovery"],
         context_sensitive=payload["context_sensitive"],
         degradation=payload["degradation"],
-        engine=payload["engine"],
         # Workers share the parent's persistent analysis cache, so the
         # per-worker static rebuild is a disk load, not a determinize.
         cache_dir=payload["cache_dir"],
@@ -204,7 +203,6 @@ class ParallelPipeline:
             "recovery": jportal.recovery_config,
             "context_sensitive": jportal.projector.context_sensitive,
             "degradation": jportal.degradation_policy,
-            "engine": jportal.engine,
             "cache_dir": jportal.cache_dir,
             "analysis_frontend": jportal.analysis_frontend,
             "database": database,

@@ -7,9 +7,9 @@ Wires the whole offline side together, mirroring the paper's architecture:
    -- with data loss + machine-code metadata export;
 2. **reassemble** (:mod:`repro.core.multicore`): per-core -> per-thread
    packet streams using thread-switch sideband;
-3. **decode** (:mod:`repro.tracesource.engine` + the Section 3 mappers):
-   packets -> observed bytecode steps (interp: opcode only; JIT: exact
-   location) and loss holes;
+3. **decode** (:mod:`repro.tracesource.engine`, lifting compiled code
+   through :mod:`repro.core.batchflow`): packets -> observed bytecode
+   columns (interp: opcode only; JIT: exact location) and loss holes;
 4. **reconstruct** (:mod:`repro.core.reconstruct`): project each hole-free
    segment onto the ICFG NFA;
 5. **recover** (:mod:`repro.core.recovery`): fill the holes from matching
@@ -30,25 +30,16 @@ from typing import Dict, List, Optional, Tuple
 from ..jvm.icfg import ICFG
 from ..jvm.model import JProgram
 from ..jvm.runtime import RunResult
-from ..pt.decoder import (
-    DecodeAnomaly,
-    DegradationPolicy,
-    InterpDispatch,
-    InterpReturnStub,
-    JitSpan,
-    TraceLoss,
-)
+from ..pt.decoder import DegradationPolicy
 from ..pt.perf import PTConfig, PTTrace, collect
 from ..tracesource import get_frontend
 from .batchflow import JitLifter
 from .degradation import anomaly_breakdown
-from .interp_decoder import lift_dispatch
-from .jit_decoder import lift_span
 from .metadata import CodeDatabase, collect_metadata
 from .metrics import MetricsRegistry
 from .multicore import ThreadTrace, split_by_thread
 from .nfa import Node, ProgramNFA
-from .observed import ObservedColumns, ObservedHole, ObservedStep, ObservedTrace
+from .observed import ObservedColumns
 from .reconstruct import MatchStats, Projector
 from .recovery import RecoveredFlow, RecoveryConfig, RecoveryEngine, RecoveryStats
 
@@ -58,7 +49,7 @@ class ThreadFlow:
     """One thread's fully analysed control flow."""
 
     tid: int
-    observed: ObservedTrace
+    observed: ObservedColumns
     segments: List[List[Optional[Node]]]
     flow: RecoveredFlow
     projection: MatchStats
@@ -211,12 +202,11 @@ class JPortal:
             ``False`` is the paper's plain NFA.
         degradation: Policy for hostile input (resync protocol + error
             budget); ``None`` uses the :class:`DegradationPolicy` default.
-        engine: ``"array"`` (default) decodes through the fused columnar
-            core (:class:`~repro.tracesource.engine.BatchEventDecoder` +
+        engine: Must be ``"array"``, the only decode engine
+            (:class:`~repro.tracesource.engine.BatchEventDecoder` +
             :meth:`~repro.core.reconstruct.Projector.project_arrays`);
-            ``"object"`` takes the original per-item path.  Both produce
-            bit-identical results (the equivalence suite pins this); the
-            object core remains the regression oracle.
+            any other value raises ``ValueError``.  Kept for callers
+            that still pass it.
         cache_dir: Directory for the persistent static-analysis cache
             (:mod:`repro.core.dfacache`).  When set, a repeated build
             for the same program loads the determinized per-method DFA
@@ -238,11 +228,8 @@ class JPortal:
         cache_dir: Optional[str] = None,
         analysis_frontend: str = "pt",
     ):
-        if engine not in ("array", "object"):
-            raise ValueError(
-                "engine must be 'array' or 'object', got %r" % (engine,)
-            )
-        self.engine = engine
+        if engine != "array":
+            raise ValueError("engine must be 'array', got %r" % (engine,))
         self.program = program
         self.cache_dir = cache_dir
         self.analysis_frontend = analysis_frontend
@@ -468,7 +455,7 @@ class JPortal:
         metrics.incr("pipeline.thread_chain_failures", tid=tid)
         return ThreadFlow(
             tid=tid,
-            observed=ObservedTrace(tid=tid),
+            observed=ObservedColumns(tid),
             segments=[],
             flow=RecoveredFlow(entries=[], stats=RecoveryStats()),
             projection=MatchStats(),
@@ -485,55 +472,23 @@ class JPortal:
 
         Self-contained and side-effect-free apart from *metrics* (which is
         thread-safe), so chains for different tids can run concurrently.
-        The ``engine`` choice picks the columnar or the object core; both
-        emit identical observed content, projections, and metrics.  The
-        decoder classes come from the frontend registry keyed by the
+        The decoder class comes from the frontend registry keyed by the
         thread trace's ``source`` (``"pt"``, ``"etrace"``, ...), so a
         second trace format flows through this chain unchanged.
         """
         frontend = get_frontend(thread_trace.source)
-        if self.engine == "array":
-            with metrics.timer("decode", tid=tid):
-                decoder = frontend.batch_decoder(
-                    database,
-                    self._lifter_for(database),
-                    metrics=metrics,
-                    tid=tid,
-                    policy=self.degradation_policy,
-                )
-                observed = decoder.decode_into(
-                    thread_trace.stream, ObservedColumns(tid)
-                )
-            return self._project_and_recover(observed, metrics, tid)
         with metrics.timer("decode", tid=tid):
-            decoder = frontend.object_decoder(
+            decoder = frontend.batch_decoder(
                 database,
+                self._lifter_for(database),
                 metrics=metrics,
                 tid=tid,
                 policy=self.degradation_policy,
             )
-            items = decoder.decode(thread_trace.stream)
-            observed = self._lift(tid, items, database, metrics)
-        with metrics.timer("reconstruct", tid=tid):
-            segments: List[List[Optional[Node]]] = []
-            stats = MatchStats()
-            for segment_steps in observed.segments():
-                projection = self.projector.project(
-                    segment_steps, metrics=metrics, tid=tid
-                )
-                segments.append(projection.path)
-                _merge_stats(stats, projection.stats)
-        with metrics.timer("recovery", tid=tid):
-            recovered = self.recovery_engine.recover(
-                segments, observed.holes(), metrics=metrics, tid=tid
+            observed = decoder.decode_into(
+                thread_trace.stream, ObservedColumns(tid)
             )
-        return ThreadFlow(
-            tid=tid,
-            observed=observed,
-            segments=segments,
-            flow=recovered,
-            projection=stats,
-        )
+        return self._project_and_recover(observed, metrics, tid)
 
     def _project_and_recover(
         self,
@@ -543,10 +498,10 @@ class JPortal:
     ) -> ThreadFlow:
         """Project + recover fully-decoded columns into a ThreadFlow.
 
-        The back half of the array-engine :meth:`_analyze_thread`, split
-        out so the streaming service -- which fills the columns
-        incrementally with its own decoder lifecycle -- finalises
-        through exactly the batch code path.
+        The back half of :meth:`_analyze_thread`, split out so the
+        streaming service -- which fills the columns incrementally with
+        its own decoder lifecycle -- finalises through exactly the batch
+        code path.
         """
         with metrics.timer("reconstruct", tid=tid):
             segments: List[List[Optional[Node]]] = []
@@ -649,38 +604,6 @@ class JPortal:
             lifter = JitLifter(database, self.program)
             self._lifters[database] = lifter
         return lifter
-
-    def _lift(
-        self,
-        tid: int,
-        items,
-        database: CodeDatabase,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> ObservedTrace:
-        """Map decoded native items to the observed bytecode trace."""
-        trace = ObservedTrace(tid=tid)
-        out = trace.items
-        for item in items:
-            if isinstance(item, InterpDispatch):
-                out.append(lift_dispatch(item))
-            elif isinstance(item, JitSpan):
-                out.extend(
-                    lift_span(item, database, self.program, metrics=metrics, tid=tid)
-                )
-            elif isinstance(item, TraceLoss):
-                out.append(
-                    ObservedHole(
-                        start_tsc=item.start_tsc,
-                        end_tsc=item.end_tsc,
-                        bytes_lost=item.bytes_lost,
-                        synthetic=item.synthetic,
-                    )
-                )
-            elif isinstance(item, InterpReturnStub):
-                continue  # control returned to the interpreter; no bytecode
-            elif isinstance(item, DecodeAnomaly):
-                trace.anomalies += 1
-        return trace
 
 
 def _merge_stats(into: MatchStats, other: MatchStats) -> None:

@@ -317,8 +317,9 @@ class Projector:
         transition memo instead of per-step object traversal, and keeps
         parent-pointer frontiers only while the frontier holds more than
         one key (a one-key frontier fixes every earlier step).  Its
-        output is bit-identical to the object engine's (the equivalence
-        suites pin this) at a fraction of the per-step cost.
+        output is bit-identical to the step-based :meth:`project`'s
+        (``tests/core/test_reconstruct.py`` pins this) at a fraction of
+        the per-step cost.
         """
         nfa = self.nfa
         state_of = nfa.state_of

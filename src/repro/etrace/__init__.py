@@ -15,7 +15,7 @@ entry codecs for E-Trace packets (:mod:`repro.etrace.serialize`).
 
 from ..tracesource import ProjectionModel, TraceFrontend, register_frontend
 from . import serialize as _serialize  # noqa: F401 - codec registration
-from .decoder import ETraceBatchDecoder, ETraceDecoder
+from .decoder import ETraceBatchDecoder
 from .encoder import ETraceEncoder, ETraceEncoderConfig, encode_core
 from .packets import (
     BRANCH_MAP_MAX_BITS,
@@ -59,7 +59,6 @@ ETRACE_FRONTEND = register_frontend(
         name="etrace",
         make_encoder=ETraceEncoder,
         encode_core=encode_core,
-        object_decoder=ETraceDecoder,
         batch_decoder=ETraceBatchDecoder,
         encoder_config_type=ETraceEncoderConfig,
         projection_model=ETRACE_PROJECTION,
@@ -79,7 +78,6 @@ __all__ = [
     "ETTimePacket",
     "ETTrapPacket",
     "ETraceBatchDecoder",
-    "ETraceDecoder",
     "ETraceEncoder",
     "ETraceEncoderConfig",
     "delta_address_size",

@@ -15,7 +15,7 @@ PT:
 * ``support`` -- encoder status changes (tracing enabled/disabled).
 
 Each packet subclasses its normalised base from
-:mod:`repro.tracesource.events`; the shared decode engines dispatch on
+:mod:`repro.tracesource.events`; the shared decode engine dispatches on
 those bases, so E-Trace streams flow through exactly the decode, salvage,
 and recovery layers PT streams do.  ``size`` is the modelled encoded byte
 count (header byte + payload) used by the ring-buffer loss model and the

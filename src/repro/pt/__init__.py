@@ -10,15 +10,9 @@ from ..tracesource import ProjectionModel, TraceFrontend, register_frontend
 from .buffer import BufferResult, RingBuffer, RingBufferConfig, interleave_with_losses
 from .decoder import (
     AnomalyKind,
-    DecodeAnomaly,
     DecodeStats,
     DegradationPolicy,
-    InterpDispatch,
-    InterpReturnStub,
-    JitSpan,
     PTBatchDecoder,
-    PTDecoder,
-    TraceLoss,
 )
 from .archive import (
     ArchiveContents,
@@ -91,7 +85,6 @@ PT_FRONTEND = register_frontend(
         name="pt",
         make_encoder=PTEncoder,
         encode_core=encode_core,
-        object_decoder=PTDecoder,
         batch_decoder=PTBatchDecoder,
         encoder_config_type=EncoderConfig,
         projection_model=PT_PROJECTION,
@@ -120,7 +113,6 @@ __all__ = [
     "serialize_code_dump",
     "serialize_database",
     "write_archive",
-    "DecodeAnomaly",
     "DecodeStats",
     "DegradationPolicy",
     "FaultInjector",
@@ -129,11 +121,6 @@ __all__ = [
     "STREAM_FAULT_KINDS",
     "ARCHIVE_FAULT_KINDS",
     "DISK_FAULT_KINDS",
-    "InterpDispatch",
-    "InterpReturnStub",
-    "JitSpan",
-    "PTDecoder",
-    "TraceLoss",
     "EncoderConfig",
     "EncoderStats",
     "PTEncoder",

@@ -3,10 +3,10 @@
 The decode core used to live here; it is now the format-agnostic engine
 in :mod:`repro.tracesource.engine`, which dispatches on the normalised
 event bases (:mod:`repro.tracesource.events`) that PT packets subclass.
-This module keeps the historical names importable -- ``PTDecoder`` /
-``PTBatchDecoder`` and the whole anomaly/degradation vocabulary -- so
-the PT frontend remains the reference implementation of the trace-source
-interface without forking the engine.
+This module keeps the historical names importable -- ``PTBatchDecoder``
+and the whole anomaly/degradation vocabulary -- so the PT frontend
+remains the reference implementation of the trace-source interface
+without forking the engine.
 
 See the engine module for the decode semantics, the robustness contract,
 and the code-database protocol.
@@ -28,18 +28,10 @@ from ..tracesource.engine import (  # noqa: F401  (compatibility re-exports)
     TARGET_UNKNOWN,
     AnomalyKind,
     BatchEventDecoder,
-    DecodeAnomaly,
-    DecodedItem,
     DecodeStats,
     DegradationPolicy,
-    EventDecoder,
-    InterpDispatch,
-    InterpReturnStub,
-    JitSpan,
-    TraceLoss,
 )
 
-#: The PT frontend's decoders *are* the shared engines: PT packets
-#: subclass the event bases, so no PT-specific decode logic remains.
-PTDecoder = EventDecoder
+#: The PT frontend's decoder *is* the shared engine: PT packets subclass
+#: the event bases, so no PT-specific decode logic remains.
 PTBatchDecoder = BatchEventDecoder

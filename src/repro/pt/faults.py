@@ -1,7 +1,7 @@
 """Seeded fault injection for packet/loss streams and code metadata.
 
-The decode pipeline's robustness contract (``PTDecoder.decode`` never
-raises; corruption degrades into anomalies and holes) is only credible if
+The decode pipeline's robustness contract (``PTBatchDecoder.decode_into``
+never raises; corruption degrades into anomalies and holes) is only credible if
 it is exercised against failure shapes *other* than the one our own
 :class:`~repro.pt.buffer.RingBuffer` produces.  Hardware trace encoders
 are validated the same way -- against injected error patterns -- and this

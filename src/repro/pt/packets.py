@@ -11,7 +11,7 @@ Packet kinds follow Section 2 of the paper:
 * ``TSC`` -- timestamp packets.
 
 Each packet subclasses its normalised event base from
-:mod:`repro.tracesource.events`, which is what the decode engines
+:mod:`repro.tracesource.events`, which is what the decode engine
 dispatch on -- the PT classes only add the encoded ``size`` and any
 PT-specific constraints (the 6-bit short-TNT limit, TIP IP compression).
 

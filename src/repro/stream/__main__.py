@@ -45,7 +45,6 @@ def _demo(subject_name: str, kill_at=None) -> int:
     jportal = JPortal(
         subject.program,
         recovery=RecoveryConfig(cost_per_instruction=run.config.compiled_step_cost),
-        engine="array",
     )
     resilience = ResilienceConfig(checkpoint=kill_at is not None)
     with tempfile.TemporaryDirectory() as tmp:

@@ -531,7 +531,7 @@ class StreamDecoder:
             return
         if self._released_any:
             # Released entries were decoded with the wrong frontend's
-            # engines (a format record belongs at the head of the file).
+            # decoder (a format record belongs at the head of the file).
             self._flag_replay("format record arrived after release")
         self._frontend_name = name
         get_frontend(name)  # unknown name raises -> replay via poll()

@@ -8,17 +8,16 @@ shares:
   (conditional-outcome batches, indirect targets, async events,
   enable/disable, time references, loss spans) that frontend packet
   types subclass;
-* :mod:`repro.tracesource.engine` -- the two decode engines
-  (:class:`~repro.tracesource.engine.EventDecoder` object core,
-  :class:`~repro.tracesource.engine.BatchEventDecoder` array core) that
-  turn one thread's event stream into native control flow, plus the
+* :mod:`repro.tracesource.engine` -- the decode engine
+  (:class:`~repro.tracesource.engine.BatchEventDecoder`) that turns one
+  thread's event stream into observed bytecode columns, plus the
   anomaly taxonomy and degradation policy;
 * the :class:`TraceFrontend` registry below, which the pipeline,
   streaming service, and collection stack use to resolve a format name
   (``"pt"``, ``"etrace"``) into its encoder and decoder classes.
 
 A *trace source* is anything that yields the merged
-``("packet"|"loss", item)`` stream the engines consume: an encoder's
+``("packet"|"loss", item)`` stream the engine consumes: an encoder's
 output split per thread (:func:`repro.core.multicore.split_by_thread`),
 an RPT2 archive reader, or a live streaming tail.  The protocol is
 structural -- packets satisfy it by subclassing the event bases, and
@@ -38,14 +37,8 @@ from .projection import ProjectionModel  # noqa: F401  (re-exported)
 from .engine import (  # noqa: F401  (re-exported: the shared engine API)
     AnomalyKind,
     BatchEventDecoder,
-    DecodeAnomaly,
     DecodeStats,
     DegradationPolicy,
-    EventDecoder,
-    InterpDispatch,
-    InterpReturnStub,
-    JitSpan,
-    TraceLoss,
 )
 from .events import (  # noqa: F401  (re-exported: the event vocabulary)
     AsyncEvent,
@@ -70,11 +63,9 @@ class TraceFrontend:
             format's packets (all subclassing the event bases).
         encode_core: ``(events, config=None) -> list of packets``; the
             stateless one-shot convenience used by benchmarks.
-        object_decoder: :class:`~repro.tracesource.engine.EventDecoder`
-            subclass for this format (engine ``"object"``).
         batch_decoder:
             :class:`~repro.tracesource.engine.BatchEventDecoder`
-            subclass for this format (engine ``"array"``).
+            subclass for this format.
         encoder_config_type: The config dataclass ``make_encoder``
             accepts; collection passes a foreign config type as ``None``
             so format defaults apply.
@@ -87,7 +78,6 @@ class TraceFrontend:
     name: str
     make_encoder: Callable[[object], object]
     encode_core: Callable[..., Sequence[object]]
-    object_decoder: type
     batch_decoder: type
     encoder_config_type: type
     projection_model: Optional[ProjectionModel] = None

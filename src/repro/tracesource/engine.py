@@ -1,24 +1,30 @@
-"""Source-agnostic branch-event decoder: trace events -> native control flow.
+"""Source-agnostic branch-event decoder: trace events -> observed columns.
 
 Given one *thread's* TSC-ordered stream of branch events and loss records,
 plus the machine-code metadata (a code database providing template lookup
-and compiled-code lookup), the engine produces the native-level flow:
+and compiled-code lookup) and a lifter for compiled code,
+:class:`BatchEventDecoder` produces the thread's observed bytecode trace
+as parallel columns (:class:`repro.core.observed.ObservedColumns`):
 
-* :class:`InterpDispatch` -- an interpreter template was entered (one per
-  executed bytecode; conditional templates carry their outcome bit);
-* :class:`InterpReturnStub` -- compiled code returned into the interpreter;
-* :class:`JitSpan` -- a maximal walk through compiled machine code,
-  recorded as the sequence of executed instruction addresses (paper
-  Figure 3(d)); the walk follows direct jumps/calls statically, consumes
-  one outcome bit per ``jcc``, and stops at indirect branches awaiting the
-  next indirect-target event, exactly like libipt;
-* :class:`TraceLoss` -- a buffer-overflow hole (segmentation point);
-  ``synthetic=True`` marks holes *declared by the decoder itself* when a
-  segment exceeds its :class:`DegradationPolicy` anomaly budget;
-* :class:`DecodeAnomaly` -- diagnostics, each tagged with a structured
-  :class:`AnomalyKind` reason code (orphan outcome bits after a loss,
-  unknown IPs, desynchronised walks, conditionals flushed without their
-  bit, ...).
+* an *interp* step for each interpreter template entered (one per
+  executed bytecode; paper Section 3.1: template ranges map one-to-one
+  onto opcodes, so the step carries the opcode but no location; a
+  conditional template carries its outcome bit, or ``None`` when the bit
+  never arrived);
+* *jit* steps for each walk through compiled machine code (paper
+  Figure 3(d)): the walk follows direct jumps/calls statically, consumes
+  one outcome bit per ``jcc``, and stops at indirect branches awaiting
+  the next indirect-target event, exactly like libipt; every walked
+  address with a debug record lifts to its innermost ``(method, bci)``;
+* nothing for a return into the interpreter (the c2i stub target), which
+  only re-anchors the stream;
+* a hole for each buffer-overflow loss record (segmentation point), and
+  a *synthetic* hole, declared by the decoder itself, when a segment
+  exceeds its :class:`DegradationPolicy` anomaly budget;
+* an anomaly count, each anomaly tagged with a structured
+  :class:`AnomalyKind` reason code in :attr:`DecodeStats.by_kind` (orphan
+  outcome bits after a loss, unknown IPs, desynchronised walks,
+  conditionals flushed without their bit, ...).
 
 The engine never looks at a concrete packet format.  It dispatches on the
 :mod:`repro.tracesource.events` base classes -- conditional-outcome
@@ -26,26 +32,27 @@ batches, indirect targets, async events, enable/disable, time references
 -- which both the Intel PT frontend (``TNT``/``TIP``/``FUP``/``PGE``/
 ``PGD``/``TSC`` in :mod:`repro.pt.packets`) and the RISC-V E-Trace
 frontend (branch maps / address packets in :mod:`repro.etrace.packets`)
-subclass.  :class:`repro.pt.decoder.PTDecoder` and
-:class:`~repro.pt.decoder.PTBatchDecoder` are thin aliases of the two
-engines here.
+subclass.  :class:`repro.pt.decoder.PTBatchDecoder` and
+:class:`repro.etrace.decoder.ETraceBatchDecoder` are aliases of the
+engine here.
 
-Robustness contract: :meth:`EventDecoder.decode` never raises on a
-malformed stream.  Corruption degrades into anomalies, discarded outcome
-backlog, and (under a :class:`DegradationPolicy` budget) synthetic holes
-that hand the damaged span to the recovery engine -- mirroring how
-production trace stacks keep lifting while the input degrades.  On a
-desynchronisation the decoder *resyncs*: it scans forward to the next
-structurally-valid indirect-target anchor (a template, return-stub, or
-code-cache target) instead of aborting the walk, discarding outcome bits
-whose branch context is unknown.
+Robustness contract: :meth:`BatchEventDecoder.decode_into` never raises
+on a malformed stream.  Corruption degrades into anomalies, discarded
+outcome backlog, and (under a :class:`DegradationPolicy` budget)
+synthetic holes that hand the damaged span to the recovery engine --
+mirroring how production trace stacks keep lifting while the input
+degrades.  On a desynchronisation the decoder *resyncs*: it scans
+forward to the next structurally-valid indirect-target anchor (a
+template, return-stub, or code-cache target) instead of aborting the
+walk, discarding outcome bits whose branch context is unknown.
 
 The code database must provide::
 
-    template_op_at(ip)             -> Op or None (which template holds ip)
+    classify_target(ip)            -> (TARGET_* code, template Op or None)
     op_is_conditional(op)          -> bool
-    is_return_stub(ip)             -> bool
-    in_code_cache(ip)              -> bool
+    walk_block(ip)                 -> the cached straight-line block
+        starting at ip (``bid``, ``addresses``, a BLOCK_* ``kind``, and
+        ``taken_ip``/``fall_ip``/``next_ip`` successors)
     native_instruction_at(ip, tsc) -> MachineInstruction or None
         (tsc selects the code-cache epoch when reclaimed addresses
         were reused; pass None for "latest")
@@ -56,7 +63,6 @@ exported metadata only (never from runtime-private state).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,8 +95,8 @@ LIFT_STALE = object()
 
 
 class AnomalyKind(str, Enum):
-    """Structured reason codes for :class:`DecodeAnomaly` (and the
-    degradation layer built on top of them).
+    """Structured reason codes for decode anomalies (and the degradation
+    layer built on top of them).
 
     Each kind is counted per thread in the metrics registry under
     ``decode.anomaly.<value>`` and aggregated onto
@@ -166,8 +172,8 @@ class DegradationPolicy:
             lenient behaviour (bits stay buffered and may misbind).
         max_anomalies_per_segment: After this many anomalies inside one
             hole-free segment the decoder declares a *synthetic hole*
-            (a ``TraceLoss`` with ``synthetic=True``): the damaged span
-            is handed to the recovery engine rather than trusted.
+            (a hole with ``synthetic=True``): the damaged span is handed
+            to the recovery engine rather than trusted.
             ``None`` disables the budget.
         archive_strict: When reading an on-disk archive
             (:func:`repro.pt.archive.read_archive`), raise on the first
@@ -179,56 +185,6 @@ class DegradationPolicy:
     resync: bool = True
     max_anomalies_per_segment: Optional[int] = 64
     archive_strict: bool = False
-
-
-@dataclass
-class InterpDispatch:
-    """One interpreted bytecode: an indirect target into template space."""
-
-    tsc: int
-    op: object  # repro.jvm.opcodes.Op
-    taken: Optional[bool] = None  # outcome bit for conditional templates
-
-
-@dataclass
-class InterpReturnStub:
-    """Compiled code returned to the interpreter (c2i stub target)."""
-
-    tsc: int
-
-
-@dataclass
-class JitSpan:
-    """A contiguous walk through compiled code (executed MI addresses)."""
-
-    tsc: int
-    addresses: List[int] = field(default_factory=list)
-
-
-@dataclass
-class TraceLoss:
-    """A hole: data between ``start_tsc`` and ``end_tsc`` was dropped.
-
-    ``synthetic=True`` marks a hole declared by the decoder's error
-    budget (no bytes were physically lost; the span was untrustworthy).
-    """
-
-    start_tsc: int
-    end_tsc: int
-    bytes_lost: int
-    synthetic: bool = False
-
-
-@dataclass
-class DecodeAnomaly:
-    """Something unexpected in the stream (kept for diagnostics)."""
-
-    tsc: int
-    reason: str
-    kind: AnomalyKind = AnomalyKind.UNSPECIFIED
-
-
-DecodedItem = object
 
 
 @dataclass
@@ -261,10 +217,11 @@ class DecodeStats:
     tnt_unused: int = 0
 
 
-# Event-kind codes for the batch decoder's class->kind memo: one
-# ``issubclass`` walk per distinct packet class, then a dict hit per
-# entry.  Order of the walk mirrors :meth:`EventDecoder._on_packet`'s
-# isinstance dispatch so both engines classify identically.
+# Event-kind codes for the decoder's class->kind memo: one ``issubclass``
+# walk per distinct packet class, then a dict hit per entry.  The walk
+# order is the dispatch precedence for a class deriving from several
+# event bases; :meth:`BatchEventDecoder._on_packet_slow` keeps the same
+# order for entries the memo cannot classify.
 _EV_TIME, _EV_TNT, _EV_TIP, _EV_FUP, _EV_IGNORE, _EV_UNKNOWN = range(6)
 
 _EVENT_KIND_MEMO: Dict[type, int] = {}
@@ -289,378 +246,16 @@ def _event_kind_of(cls: type) -> int:
     return kind
 
 
-class EventDecoder:
-    """Decodes one thread's event stream against a code database.
-
-    A decoder is single-use: one :meth:`decode` call per instance.  When a
-    :class:`~repro.core.metrics.MetricsRegistry` is supplied, the decode
-    stats are published under ``decode.*`` counters for *tid* when the
-    stream has been consumed.  *policy* tunes the degradation behaviour
-    (resync + error budget); the default :class:`DegradationPolicy` is
-    used when ``None``.
-    """
-
-    def __init__(
-        self,
-        database,
-        metrics=None,
-        tid: Optional[int] = None,
-        policy: Optional[DegradationPolicy] = None,
-    ):
-        self.database = database
-        self.metrics = metrics
-        self.tid = tid
-        self.policy = policy if policy is not None else DegradationPolicy()
-        self.stats = DecodeStats()
-        self._items: List[DecodedItem] = []
-        self._bits = deque()
-        # Pending interpreted conditional waiting for its outcome bit.
-        self._pending_cond: Optional[InterpDispatch] = None
-        # Suspended machine walk: (span, next_address) waiting for bits.
-        self._walk: Optional[Tuple[JitSpan, int]] = None
-        # Between a loss record and the next indirect target the stream
-        # has no anchor: outcome bits arriving there belong to branches
-        # whose context was dropped and must not bind to later
-        # conditionals.
-        self._post_loss = False
-        # Resync state: set when the stream desynchronises (unmapped
-        # target, walk into unknown code); cleared by the next
-        # structurally-valid anchor.  While set, outcome batches are
-        # discarded.
-        self._desync = False
-        # Error-budget state for the current hole-free segment.
-        self._segment_anomalies = 0
-        self._segment_anomaly_start: Optional[int] = None
-
-    # -------------------------------------------------------------------- API
-    def decode(
-        self, stream: Sequence[Tuple[str, object]]
-    ) -> List[DecodedItem]:
-        """Decode a merged ``("packet"|"loss", item)`` stream (one thread).
-
-        Never raises on malformed input: unrecognised or corrupt entries
-        degrade into :class:`DecodeAnomaly` items (and, under the error
-        budget, synthetic holes).
-        """
-        for entry in stream:
-            tsc = 0
-            try:
-                tag, item = entry
-                tsc = getattr(item, "tsc", None)
-                if tsc is None:
-                    tsc = getattr(item, "start_tsc", 0) or 0
-                if tag == "loss":
-                    self._on_loss(item)
-                elif tag == "packet":
-                    self._on_packet(item)
-                else:
-                    self._note(
-                        tsc,
-                        AnomalyKind.MALFORMED_ITEM,
-                        "unrecognised stream tag %r" % (tag,),
-                    )
-            except Exception as exc:  # no-crash contract: degrade instead
-                self._note(
-                    tsc,
-                    AnomalyKind.DECODER_ERROR,
-                    "decoder error: %r" % (exc,),
-                )
-            self._maybe_declare_synthetic_hole(tsc)
-        self._finish_pending()
-        self.stats.tnt_unused += len(self._bits)
-        self._publish_metrics()
-        return self._items
-
-    # --------------------------------------------------------------- handlers
-    def _on_loss(self, loss: LossSpan) -> None:
-        self.stats.losses += 1
-        self._abandon("data loss", loss.start_tsc)
-        self.stats.tnt_dropped_on_loss += len(self._bits)
-        self._bits.clear()
-        self._post_loss = True
-        self._desync = False  # the hole itself is the new segmentation point
-        self._segment_anomalies = 0
-        self._segment_anomaly_start = None
-        self._items.append(
-            TraceLoss(
-                start_tsc=loss.start_tsc,
-                end_tsc=loss.end_tsc,
-                bytes_lost=loss.bytes_lost,
-            )
-        )
-
-    def _on_packet(self, packet) -> None:
-        self.stats.packets += 1
-        if isinstance(packet, TimeRef):
-            return
-        if isinstance(packet, ConditionalOutcomes):
-            self.stats.tnt_bits += len(packet.bits)
-            if self._desync:
-                # Resync scan: these bits belong to branches in unknown
-                # code; buffering them would misbind later conditionals.
-                self.stats.tnt_discarded += len(packet.bits)
-                self._note(
-                    packet.tsc,
-                    AnomalyKind.TNT_DISCARDED_DESYNC,
-                    "TNT bits discarded while resynchronising",
-                )
-                return
-            if (
-                self._post_loss
-                and self._pending_cond is None
-                and self._walk is None
-            ):
-                # Orphan bits: their branches were dropped with the loss;
-                # buffering them would misbind the next conditional.
-                self.stats.tnt_orphaned += len(packet.bits)
-                self._note(
-                    packet.tsc,
-                    AnomalyKind.ORPHAN_TNT,
-                    "orphan TNT bits after loss",
-                )
-                return
-            self._bits.extend(packet.bits)
-            self._drain_bits(packet.tsc)
-            return
-        if isinstance(packet, IndirectTarget):
-            self.stats.tips += 1
-            self._on_tip(packet)
-            return
-        if isinstance(packet, AsyncEvent):
-            # Asynchronous event: the current flow is interrupted; control
-            # resumes at the next indirect target.
-            self._abandon("fup", packet.tsc)
-            return
-        if isinstance(packet, (TraceEnable, TraceDisable)):
-            # Benign tracing pauses (e.g. GC) do not move control; the
-            # suspended walk stays valid.
-            return
-        self._note(
-            getattr(packet, "tsc", 0) or 0,
-            AnomalyKind.MALFORMED_ITEM,
-            "unknown packet %r" % (packet,),
-        )
-
-    def _on_tip(self, packet: IndirectTarget) -> None:
-        target = packet.target
-        # An indirect target while a conditional still awaits its bit, or
-        # while a walk awaits bits, means the stream is inconsistent
-        # (post-loss).
-        if self._pending_cond is not None:
-            # The bit never arrived (lost): emit with unknown outcome.
-            self._note(
-                packet.tsc,
-                AnomalyKind.CONDITIONAL_WITHOUT_TNT,
-                "conditional without TNT bit",
-            )
-            self._items.append(self._pending_cond)
-            self._pending_cond = None
-        if self._walk is not None:
-            self._note(
-                packet.tsc,
-                AnomalyKind.WALK_ABANDONED,
-                "walk abandoned by TIP",
-            )
-            self.stats.walks_abandoned += 1
-            self._walk = None
-        database = self.database
-        if database.is_return_stub(target):
-            self._anchor()
-            self._items.append(InterpReturnStub(tsc=packet.tsc))
-            return
-        op = database.template_op_at(target)
-        if op is not None:
-            self._anchor()
-            dispatch = InterpDispatch(tsc=packet.tsc, op=op)
-            if database.op_is_conditional(op):
-                if self._bits:
-                    dispatch.taken = self._bits.popleft()
-                    self.stats.tnt_consumed += 1
-                    self._items.append(dispatch)
-                else:
-                    self._pending_cond = dispatch
-            else:
-                self._items.append(dispatch)
-            return
-        if database.in_code_cache(target):
-            self._anchor()
-            span = JitSpan(tsc=packet.tsc)
-            self._items.append(span)
-            self._run_walk(span, target, packet.tsc)
-            return
-        # Structurally invalid target: the stream is desynchronised.  Do
-        # not treat this target as an anchor; under the resync protocol
-        # the decoder scans forward to the next valid one.
-        self._note(
-            packet.tsc,
-            AnomalyKind.TIP_UNMAPPED,
-            "TIP to unknown address 0x%x" % target,
-        )
-        if self.policy.resync:
-            self._enter_desync()
-        else:
-            self._post_loss = False  # legacy behaviour: any TIP anchors
-
-    def _anchor(self) -> None:
-        """A structurally-valid indirect target re-anchors the stream."""
-        self._post_loss = False
-        self._desync = False
-
-    def _enter_desync(self) -> None:
-        """Start the resync scan: discard context-less outcome backlog."""
-        self._desync = True
-        self.stats.tnt_discarded += len(self._bits)
-        self._bits.clear()
-
-    # ------------------------------------------------------------------- walk
-    def _run_walk(self, span: JitSpan, address: int, tsc: int) -> None:
-        """Walk compiled code from *address* until input is exhausted."""
-        database = self.database
-        walked = 0
-        while True:
-            if walked > MAX_WALK:
-                self._note(tsc, AnomalyKind.WALK_BUDGET, "walk budget exceeded")
-                return
-            mi = database.native_instruction_at(address, tsc)
-            if mi is None:
-                self._note(
-                    tsc,
-                    AnomalyKind.WALK_DESYNC,
-                    "walk desynchronised at 0x%x" % address,
-                )
-                if self.policy.resync:
-                    self._enter_desync()
-                return
-            span.addresses.append(address)
-            self.stats.walked_instructions += 1
-            walked += 1
-            kind = mi.kind
-            if kind is MIKind.OTHER:
-                address = mi.end
-            elif kind in (MIKind.JMP_DIRECT, MIKind.CALL_DIRECT):
-                address = mi.target
-            elif kind is MIKind.COND_BRANCH:
-                if not self._bits:
-                    # Starve: suspend until more outcome bits arrive.  The
-                    # branch address is re-visited on resume.
-                    span.addresses.pop()
-                    self.stats.walked_instructions -= 1
-                    self._walk = (span, address)
-                    return
-                taken = self._bits.popleft()
-                self.stats.tnt_consumed += 1
-                address = mi.target if taken else mi.end
-            else:
-                # Indirect branch / return: the next indirect-target event
-                # carries the destination.
-                return
-
-    def _drain_bits(self, tsc: int) -> None:
-        if self._pending_cond is not None and self._bits:
-            self._pending_cond.taken = self._bits.popleft()
-            self.stats.tnt_consumed += 1
-            self._items.append(self._pending_cond)
-            self._pending_cond = None
-        if self._walk is not None and self._bits:
-            span, address = self._walk
-            self._walk = None
-            self._run_walk(span, address, tsc)
-
-    # ---------------------------------------------------------------- cleanup
-    def _abandon(self, why: str, tsc: Optional[int] = None) -> None:
-        if self._pending_cond is not None:
-            # Emit with unknown outcome rather than dropping the dispatch
-            # -- and record the anomaly, exactly like the TIP flush path,
-            # so ``decode.anomalies`` counts every unknown outcome.
-            self._note(
-                self._pending_cond.tsc if tsc is None else tsc,
-                AnomalyKind.CONDITIONAL_WITHOUT_TNT,
-                "conditional without TNT bit (%s)" % why,
-            )
-            self._items.append(self._pending_cond)
-            self._pending_cond = None
-        if self._walk is not None:
-            self.stats.walks_abandoned += 1
-            self._walk = None
-
-    def _finish_pending(self) -> None:
-        self._abandon("end of stream")
-
-    def _note(self, tsc: int, kind: AnomalyKind, reason: str) -> None:
-        self.stats.anomalies += 1
-        self.stats.by_kind[kind] = self.stats.by_kind.get(kind, 0) + 1
-        if self._segment_anomaly_start is None:
-            self._segment_anomaly_start = tsc
-        self._segment_anomalies += 1
-        self._items.append(DecodeAnomaly(tsc=tsc, reason=reason, kind=kind))
-
-    def _maybe_declare_synthetic_hole(self, tsc: int) -> None:
-        """Error budget: too many anomalies in one segment means the span
-        cannot be trusted; declare a synthetic hole and hand it to the
-        recovery engine (which treats it like a buffer-overflow hole)."""
-        limit = self.policy.max_anomalies_per_segment
-        if limit is None or self._segment_anomalies < limit:
-            return
-        start = self._segment_anomaly_start
-        start = tsc if start is None else start
-        self._segment_anomalies = 0
-        self._segment_anomaly_start = None
-        self.stats.synthetic_holes += 1
-        self._abandon("error budget", tsc)
-        self.stats.tnt_dropped_on_loss += len(self._bits)
-        self._bits.clear()
-        self._post_loss = True
-        self._desync = False
-        self._items.append(
-            TraceLoss(
-                start_tsc=start, end_tsc=tsc, bytes_lost=0, synthetic=True
-            )
-        )
-
-    # ---------------------------------------------------------------- metrics
-    def _publish_metrics(self) -> None:
-        if self.metrics is None:
-            return
-        stats = self.stats
-        for name, value in (
-            ("decode.packets", stats.packets),
-            ("decode.tips", stats.tips),
-            ("decode.tnt_bits", stats.tnt_bits),
-            ("decode.losses", stats.losses),
-            ("decode.anomalies", stats.anomalies),
-            ("decode.walked_instructions", stats.walked_instructions),
-            ("decode.synthetic_holes", stats.synthetic_holes),
-            ("decode.walks_abandoned", stats.walks_abandoned),
-            ("decode.tnt_consumed", stats.tnt_consumed),
-            ("decode.tnt_orphaned", stats.tnt_orphaned),
-            ("decode.tnt_discarded", stats.tnt_discarded),
-            ("decode.tnt_dropped_on_loss", stats.tnt_dropped_on_loss),
-            ("decode.tnt_unused", stats.tnt_unused),
-        ):
-            if value:
-                self.metrics.incr(name, value, tid=self.tid)
-        for kind, count in stats.by_kind.items():
-            if count:
-                self.metrics.incr(
-                    "decode.anomaly.%s" % kind.value, count, tid=self.tid
-                )
-
-
 class BatchEventDecoder:
-    """Array-core decoder: trace events straight to observed *columns*.
+    """Decodes one thread's event stream straight into observed *columns*.
 
-    Functionally identical to :class:`EventDecoder` followed by the
-    per-item lifters -- same anomaly taxonomy, same
-    :class:`DegradationPolicy` semantics, same :class:`DecodeStats`
-    (including the outcome-bit conservation invariant), and the same
-    observed steps/holes in the same order (the equivalence suite pins
-    this bit-for-bit) -- but organised for throughput:
+    Decode and lift are fused, and the work is organised for throughput:
 
-    * no intermediate ``InterpDispatch``/``JitSpan``/``ObservedStep``
-      objects: decode and lift are fused, writing directly into the
-      parallel columns of an :class:`repro.core.observed.ObservedColumns`
-      sink (duck-typed: ``symbols``/``takens``/``locations``/``sources``/
-      ``tscs`` lists plus ``add_hole`` and an ``anomalies`` counter);
+    * no intermediate per-dispatch or per-walk objects: steps are
+      written directly into the parallel columns of an
+      :class:`repro.core.observed.ObservedColumns` sink (duck-typed:
+      ``symbols``/``takens``/``locations``/``sources``/``tscs`` lists
+      plus ``add_hole`` and an ``anomalies`` counter);
     * outcome payloads are kept as one flat bit-run (list + cursor)
       instead of a deque popped one object at a time;
     * compiled-code walks drain block-at-a-time through the database's
@@ -670,14 +265,24 @@ class BatchEventDecoder:
       ``block_template(block)`` and ``lift_one(address, tsc)``, see
       :class:`repro.core.batchflow.JitLifter`); epoch-dependent
       addresses and walks near the :data:`MAX_WALK` budget fall back to
-      per-instruction stepping so the degradation semantics stay exact;
+      per-instruction stepping, so a walk ends, starves, or
+      desynchronises at exactly the instruction it would reach one
+      address at a time;
     * indirect targets classify through the database's memoized
       ``classify_target`` (:data:`TARGET_STUB`-family codes) instead of
       three range lookups per dispatch, and packet classes resolve to
       event kinds through a module-level ``issubclass`` memo, so any
       frontend's packet types hit the same fast path.
 
-    Like :class:`EventDecoder`, an instance is single-use and never
+    :class:`DecodeStats` accounts for every outcome bit (consumed,
+    orphaned, discarded, dropped with a hole, or unused), every loss and
+    synthetic hole, and every anomaly by kind; when a
+    :class:`~repro.core.metrics.MetricsRegistry` is supplied the stats
+    are published under ``decode.*`` counters for *tid* (and stale debug
+    records under ``lift.stale_debug_entries``) by :meth:`finish`.
+    *policy* tunes the degradation behaviour (resync + error budget);
+    the default :class:`DegradationPolicy` is used when ``None``.  An
+    instance decodes one stream (optionally fed in chunks) and never
     raises on malformed input.
     """
 
@@ -703,8 +308,17 @@ class BatchEventDecoder:
         self._pending: Optional[Tuple[int, object]] = None
         # Suspended machine walk: (span_start_tsc, next_address).
         self._walk: Optional[Tuple[int, int]] = None
+        # Between a loss record and the next indirect target the stream
+        # has no anchor: outcome bits arriving there belong to branches
+        # whose context was dropped and must not bind to later
+        # conditionals.
         self._post_loss = False
+        # Resync state: set when the stream desynchronises (unmapped
+        # target, walk into unknown code); cleared by the next
+        # structurally-valid anchor.  While set, outcome batches are
+        # discarded.
         self._desync = False
+        # Error-budget state for the current hole-free segment.
         self._segment_anomalies = 0
         self._segment_anomaly_start: Optional[int] = None
         # Stale debug records encountered while lifting (published once).
@@ -717,8 +331,9 @@ class BatchEventDecoder:
     def decode_into(self, stream: Sequence[Tuple[str, object]], columns):
         """Decode a merged ``("packet"|"loss", item)`` stream into *columns*.
 
-        Never raises on malformed input; same contract and entry-by-entry
-        degradation behaviour as :meth:`EventDecoder.decode`.
+        Never raises on malformed input: unrecognised or corrupt entries
+        degrade into anomalies (and, under the error budget, synthetic
+        holes).  Returns *columns*.
         """
         self.feed(stream, columns)
         return self.finish()
@@ -764,7 +379,7 @@ class BatchEventDecoder:
         # Hot-loop locals: the indirect-target fast path below handles
         # the (dominant) clean-stream dispatches without a method call or
         # re-lookup; any pending state or unusual target falls through to
-        # the full handlers, which replicate the object decoder exactly.
+        # the full handlers.
         classify = self.database.classify_target
         tip_memo: Dict[int, Tuple[int, object]] = {}
         cond_memo = self._cond_op
@@ -874,8 +489,9 @@ class BatchEventDecoder:
 
     # --------------------------------------------------------------- handlers
     def _on_packet_slow(self, packet, tsc: int) -> None:
-        """Entries no event base claims (injected fakes, foreign objects):
-        replicate the object decoder's isinstance dispatch order."""
+        """Entries the class memo cannot classify (injected fakes, foreign
+        objects): dispatch by ``isinstance`` in the memo's precedence
+        order; anything no event base claims is a malformed item."""
         if isinstance(packet, TimeRef):
             return
         if isinstance(packet, ConditionalOutcomes):
@@ -1025,11 +641,10 @@ class BatchEventDecoder:
     def _run_walk(self, address: int, span_tsc: int, tsc: int) -> None:
         """Walk compiled code from *address*, emitting lifted steps.
 
-        *span_tsc* is the walk's start timestamp: like the object
-        pipeline, lifted steps carry (and debug info resolves against)
-        the span's creation time even across starvation resumes, while
-        *tsc* (the current packet's time) drives epoch selection and
-        anomaly records.
+        *span_tsc* is the walk's start timestamp: lifted steps carry (and
+        debug info resolves against) the time the walk started, even
+        across starvation resumes, while *tsc* (the current packet's
+        time) drives epoch selection and anomaly records.
         """
         database = self.database
         walk_block = database.walk_block
@@ -1205,8 +820,11 @@ class BatchEventDecoder:
         self._columns.anomalies += 1
 
     def _declare_synthetic_hole(self, tsc: int) -> None:
-        """The error budget tripped: declare a synthetic hole (same state
-        transitions as :meth:`EventDecoder._maybe_declare_synthetic_hole`)."""
+        """Error budget: too many anomalies in one segment means the span
+        cannot be trusted.  Flush pending state, drop the outcome
+        backlog, and declare a synthetic hole from the segment's first
+        anomaly to *tsc*; recovery treats it like a buffer-overflow
+        hole."""
         start = self._segment_anomaly_start
         start = tsc if start is None else start
         self._segment_anomalies = 0

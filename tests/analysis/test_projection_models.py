@@ -13,7 +13,9 @@ rest of ``tests/analysis`` draws subjects from.
 import pytest
 
 from repro.analysis import EdgeObservability, ObservabilityMap
+from repro.core.batchflow import JitLifter
 from repro.core.metadata import CodeDatabase
+from repro.core.observed import ObservedColumns
 from repro.jvm.icfg import ICFG
 from repro.jvm.machine import TipEvent, TntEvent
 from repro.jvm.opcodes import Kind, Op
@@ -87,11 +89,18 @@ def _check_node(frontend, model, observability, icfg, node):
         )
         items = {}
         for edge in out:
-            decoder = frontend.object_decoder(database)
+            decoder = frontend.batch_decoder(
+                database, JitLifter(database, icfg.program)
+            )
             raw = _edge_raw_packets(frontend, model, icfg, edge)
-            items[edge.edge_id] = tuple(
-                repr(item)
-                for item in decoder.decode([("packet", p) for p in raw])
+            columns = decoder.decode_into(
+                [("packet", p) for p in raw], ObservedColumns(0)
+            )
+            items[edge.edge_id] = (
+                columns.symbols,
+                columns.takens,
+                columns.tscs,
+                columns.anomalies,
             )
         for edge in out:
             verdict = observability.of(edge)

@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import JPortal
+from repro.core.batchflow import JitLifter
+from repro.core.observed import ObservedColumns
 from repro.jvm.assembler import MethodAssembler
 from repro.jvm.jit import JITPolicy
 from repro.jvm.model import JClass, JProgram
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig
 from repro.jvm.verifier import verify_program
 from repro.pt.buffer import RingBufferConfig
+from repro.pt.decoder import PTBatchDecoder
 from repro.pt.perf import PTConfig
 
 #: A buffer so large that nothing is ever lost.
@@ -87,6 +90,17 @@ def run_program_traced(
     runtime = JVMRuntime(program, config)
     runtime.add_thread(name="main")
     return runtime.run()
+
+
+def decode_columns(stream, database, program, tid: int = 0, **options):
+    """Decode one thread's merged stream the way the pipeline does:
+    :class:`PTBatchDecoder` lifting compiled code through a
+    :class:`JitLifter` into :class:`ObservedColumns`.  *options* go to the
+    decoder (``metrics``, ``policy``).  Returns ``(decoder, columns)``."""
+    decoder = PTBatchDecoder(
+        database, JitLifter(database, program), tid=tid, **options
+    )
+    return decoder, decoder.decode_into(stream, ObservedColumns(tid))
 
 
 def analyze_lossless(program: JProgram, run):

@@ -3,6 +3,8 @@
 import gc
 import weakref
 
+import pytest
+
 from repro.core import JPortal
 from repro.core.metadata import collect_metadata
 from repro.core.recovery import RecoveryConfig
@@ -179,3 +181,17 @@ class TestLifterCache:
         gc.collect()
         assert alive() is None
         assert len(jportal._lifters) == 0
+
+
+class TestEngineKeyword:
+    """``engine`` has one legal value: the deleted object core and any
+    other name are refused."""
+
+    def test_array_engine_constructs(self):
+        program = build_figure2_program(iterations=4)
+        assert JPortal(program, engine="array").program is program
+
+    @pytest.mark.parametrize("engine", ("object", "columnar"))
+    def test_other_engines_raise(self, engine):
+        with pytest.raises(ValueError, match="engine"):
+            JPortal(build_figure2_program(iterations=4), engine=engine)

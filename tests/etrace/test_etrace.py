@@ -239,8 +239,7 @@ class TestRegistry:
             get_frontend("no-such-frontend")
 
     def test_shared_engines(self):
-        from repro.pt.decoder import PTBatchDecoder, PTDecoder
+        from repro.pt.decoder import PTBatchDecoder
 
         frontend = get_frontend("etrace")
         assert frontend.batch_decoder is PTBatchDecoder
-        assert frontend.object_decoder is PTDecoder

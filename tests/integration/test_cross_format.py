@@ -3,8 +3,7 @@
 Pins the tentpole contract from the ISSUE:
 
 * on lossless runs, flows decoded from an E-Trace stream are
-  **bit-identical** to flows decoded from a PT stream of the same run
-  (both engines: object and array);
+  **bit-identical** to flows decoded from a PT stream of the same run;
 * an E-Trace trace round-trips through the ``RPT2`` archive (format
   record first), salvages under byte-level fault injection with the
   same balanced accounting invariant as PT archives, and replays
@@ -30,8 +29,6 @@ from repro.pt.faults import ARCHIVE_FAULT_KINDS, FaultInjector
 from repro.pt.perf import PTConfig, collect
 
 from ..conftest import build_figure2_program
-
-ENGINES = ("object", "array")
 
 #: Archive-fuzz breadth for the cross-format salvage block.
 FUZZ_SEEDS = 40
@@ -61,9 +58,7 @@ def fixture():
         "database": collect_metadata(run),
         "pt": collect(run, _config("pt")),
         "etrace": collect(run, _config("etrace")),
-        "jportals": {
-            engine: JPortal(program, engine=engine) for engine in ENGINES
-        },
+        "jportal": JPortal(program),
     }
 
 
@@ -80,33 +75,21 @@ def _assert_identical(result, baseline, note):
 
 
 class TestLosslessEquivalence:
-    """E-Trace flows == PT flows on lossless runs, both engines."""
+    """E-Trace flows == PT flows on lossless runs."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_flows_bit_identical(self, fixture, engine):
-        jportal = fixture["jportals"][engine]
+    def test_flows_bit_identical(self, fixture):
+        jportal = fixture["jportal"]
         database = fixture["database"]
         baseline = jportal.analyze_trace(fixture["pt"], database)
         result = jportal.analyze_trace(fixture["etrace"], database)
-        _assert_identical(result, baseline, "engine=%s" % engine)
-
-    def test_array_equals_object_on_etrace(self, fixture):
-        """The engine-equivalence contract holds for the new frontend."""
-        database = fixture["database"]
-        baseline = fixture["jportals"]["object"].analyze_trace(
-            fixture["etrace"], database
-        )
-        result = fixture["jportals"]["array"].analyze_trace(
-            fixture["etrace"], database
-        )
-        _assert_identical(result, baseline, "etrace array-vs-object")
+        _assert_identical(result, baseline, "etrace vs pt")
 
     def test_flows_identical_under_equal_loss_policy(self, fixture):
         """Same buffer bytes for both formats: flows may differ (losses
         cut at different packet boundaries) but both must stay total and
         attribute every thread."""
         run = fixture["run"]
-        jportal = fixture["jportals"]["array"]
+        jportal = fixture["jportal"]
         database = fixture["database"]
         for frontend in ("pt", "etrace"):
             trace = collect(run, _config(frontend, capacity=600, bandwidth=0.1))
@@ -142,7 +125,7 @@ class TestArchiveRoundTrip:
     def test_archive_analysis_matches_direct_analysis(self, fixture, tmp_path):
         path = tmp_path / "etrace.rpt2"
         write_archive(fixture["etrace"], fixture["database"], path)
-        jportal = fixture["jportals"]["array"]
+        jportal = fixture["jportal"]
         baseline = jportal.analyze_trace(fixture["etrace"], fixture["database"])
         result = jportal.analyze_archive(str(path))
         _assert_identical(result, baseline, "etrace archive round trip")
@@ -268,7 +251,7 @@ class TestStreaming:
         simulator = GrowingArchiveSimulator(
             fixture["etrace"], fixture["database"], path
         )
-        jportal = fixture["jportals"]["array"]
+        jportal = fixture["jportal"]
         tenant = StreamDecoder(jportal, str(path), name="etrace")
         while simulator.remaining:
             simulator.step(3)

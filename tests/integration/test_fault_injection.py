@@ -6,8 +6,10 @@ pipeline outputs stay bit-identical under every injected fault.  A
 seeded :class:`~repro.pt.faults.FaultInjector` mutates real collected
 traces (truncations, loss-record corruption, unmapped TIPs, TNT
 split/merge, tie reordering, stale debug info); 1000 decoder-level seeds
-plus a pipeline-level sweep cover every fault kind and every
-:class:`~repro.pt.decoder.DegradationPolicy` variant.
+(through :class:`~repro.pt.decoder.PTBatchDecoder` into columns, the
+decoder every analysis runs) plus a pipeline-level sweep cover every
+fault kind and every :class:`~repro.pt.decoder.DegradationPolicy`
+variant.
 
 ``TestFaultSmoke`` is the fixed 50-seed subset the CI fault-smoke job
 runs on every push (see .github/workflows/ci.yml).
@@ -22,20 +24,11 @@ from repro.core.metadata import collect_metadata
 from repro.core.multicore import split_by_thread
 from repro.jvm.jit import JITPolicy
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig
-from repro.pt.decoder import (
-    AnomalyKind,
-    DegradationPolicy,
-    DecodeAnomaly,
-    InterpDispatch,
-    InterpReturnStub,
-    JitSpan,
-    PTDecoder,
-    TraceLoss,
-)
+from repro.pt.decoder import AnomalyKind, DegradationPolicy
 from repro.pt.faults import FaultInjector, FaultKind, STREAM_FAULT_KINDS
 from repro.pt.perf import collect
 
-from ..conftest import build_figure2_program, lossy_config
+from ..conftest import build_figure2_program, decode_columns, lossy_config
 
 #: Policy variants cycled through the fuzz loop (seed % 4).
 POLICIES = (
@@ -72,13 +65,12 @@ def fixture():
     }
 
 
-def _check_decoder_invariants(decoder, items, seed):
+def _check_decoder_invariants(decoder, columns, seed):
     """The degradation contract, checked on every fuzzed decode."""
     stats = decoder.stats
-    anomaly_items = [i for i in items if isinstance(i, DecodeAnomaly)]
     note = "seed=%d" % seed
-    assert stats.anomalies == len(anomaly_items), note
     assert sum(stats.by_kind.values()) == stats.anomalies, note
+    assert stats.anomalies == columns.anomalies, note
     # TNT bit conservation: every emitted bit is consumed, orphaned,
     # discarded during resync, dropped with a hole, or left unused.
     assert (
@@ -89,23 +81,17 @@ def _check_decoder_invariants(decoder, items, seed):
         + stats.tnt_dropped_on_loss
         + stats.tnt_unused
     ), note
-    # Item accounting: every decoded item traces back to a counted event.
+    # Output accounting: every step and hole traces back to a counted
+    # event.  An interpreted step is one template target, so there are
+    # at most as many as mapped targets (return stubs and code-cache
+    # targets add none).
     assert stats.by_kind.get(AnomalyKind.DECODER_ERROR, 0) == 0, note
-    flows = sum(
-        1
-        for i in items
-        if isinstance(i, (InterpDispatch, InterpReturnStub, JitSpan))
-    )
-    real_holes = sum(
-        1 for i in items if isinstance(i, TraceLoss) and not i.synthetic
-    )
-    synthetic = sum(
-        1 for i in items if isinstance(i, TraceLoss) and i.synthetic
-    )
-    assert flows == stats.tips - stats.by_kind.get(AnomalyKind.TIP_UNMAPPED, 0), note
-    assert real_holes == stats.losses, note
-    assert synthetic == stats.synthetic_holes, note
-    assert len(items) == flows + real_holes + synthetic + len(anomaly_items), note
+    interp_steps = columns.sources.count("interp")
+    mapped = stats.tips - stats.by_kind.get(AnomalyKind.TIP_UNMAPPED, 0)
+    assert interp_steps <= mapped, note
+    holes = columns.holes()
+    assert sum(1 for hole in holes if not hole.synthetic) == stats.losses, note
+    assert sum(1 for hole in holes if hole.synthetic) == stats.synthetic_holes, note
 
 
 def _fuzz_one_seed(fixture, seed):
@@ -117,16 +103,13 @@ def _fuzz_one_seed(fixture, seed):
     directed = STREAM_FAULT_KINDS[seed % len(STREAM_FAULT_KINDS)]
     mutated, faults = injector.mutate_stream(stream, kinds=[directed], faults=1)
     mutated, extra = injector.mutate_stream(mutated, faults=seed % 3)
-    decoder = PTDecoder(
-        fixture["database"], policy=POLICIES[seed % len(POLICIES)]
-    )
-    items = decoder.decode(mutated)
-    _check_decoder_invariants(decoder, items, seed)
-    if seed % 10 == 0:  # determinism spot check: same stream, same items
-        again = PTDecoder(
-            fixture["database"], policy=POLICIES[seed % len(POLICIES)]
-        ).decode(mutated)
-        assert pickle.dumps(again) == pickle.dumps(items), "seed=%d" % seed
+    policy = POLICIES[seed % len(POLICIES)]
+    database, program = fixture["database"], fixture["program"]
+    decoder, columns = decode_columns(mutated, database, program, policy=policy)
+    _check_decoder_invariants(decoder, columns, seed)
+    if seed % 10 == 0:  # determinism spot check: same stream, same columns
+        again = decode_columns(mutated, database, program, policy=policy)[1]
+        assert again == columns, "seed=%d" % seed
     return {fault.kind for fault in faults + extra}
 
 
@@ -184,7 +167,8 @@ class TestPipelineFuzz:
         result = fixture["jportal"].analyze_trace(fixture["trace"], database)
         breakdown = result.anomalies_by_kind
         # The fixture JITs Test.fun, so some corrupted entries are hit.
-        assert breakdown.get(AnomalyKind.STALE_DEBUG_INFO.value, 0) >= 0
+        assert breakdown.get(AnomalyKind.STALE_DEBUG_INFO.value, 0) > 0
+        assert result.metrics.counter("lift.stale_debug_entries") > 0
         _pipeline_invariants(result, "stale-debug")
 
 
@@ -206,9 +190,8 @@ class TestStatsReconciliation:
         trace = collect(run, lossy_config(capacity=700, bandwidth=0.4))
         database = collect_metadata(run)
         for tid, thread in split_by_thread(trace).items():
-            decoder = PTDecoder(database)
-            items = decoder.decode(thread.stream)
-            _check_decoder_invariants(decoder, items, seed)
+            decoder, columns = decode_columns(thread.stream, database, program)
+            _check_decoder_invariants(decoder, columns, seed)
             # Packet/loss accounting against the raw stream.
             packets = sum(1 for tag, _ in thread.stream if tag == "packet")
             losses = sum(1 for tag, _ in thread.stream if tag == "loss")

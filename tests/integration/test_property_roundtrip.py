@@ -15,12 +15,11 @@ from repro.core.metadata import collect_metadata
 from repro.core.multicore import split_by_thread
 from repro.jvm.jit import JITPolicy
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig
-from repro.pt.decoder import PTDecoder
 from repro.pt.encoder import PTEncoder
 from repro.pt.perf import collect
 from repro.workloads.generator import GeneratorConfig, generate_program
 
-from ..conftest import lossless_config, lossy_config
+from ..conftest import decode_columns, lossless_config, lossy_config
 
 
 def _run(program, threshold, cores=1, inlining=True):
@@ -143,21 +142,18 @@ class TestMultiThreadSplitRoundtrip:
         """With exact sideband (no jitter), each reassembled stream decodes
         without anomalies and the walked/dispatched totals across threads
         conserve the run's executed step counts."""
-        _program, run = self._multithread_run(seed, thread_count)
+        program, run = self._multithread_run(seed, thread_count)
         trace = collect(run, lossless_config())
         threads = split_by_thread(trace)
         database = collect_metadata(run)
-        from repro.pt.decoder import InterpDispatch
-
         walked = dispatched = 0
         for tid in sorted(threads):
-            decoder = PTDecoder(database)
-            items = decoder.decode(threads[tid].stream)
+            decoder, columns = decode_columns(
+                threads[tid].stream, database, program
+            )
             assert decoder.stats.anomalies == 0
             walked += decoder.stats.walked_instructions
-            dispatched += sum(
-                1 for item in items if isinstance(item, InterpDispatch)
-            )
+            dispatched += columns.sources.count("interp")
         assert walked == run.counters["steps_compiled"]
         assert dispatched == run.counters["steps_interp"]
 
@@ -190,11 +186,7 @@ class TestEncoderDecoderRoundtrip:
         trace = collect(run, lossless_config())
         threads = split_by_thread(trace)
         database = collect_metadata(run)
-        decoder = PTDecoder(database)
-        from repro.pt.decoder import InterpDispatch
-
-        items = decoder.decode(threads[0].stream)
+        decoder, columns = decode_columns(threads[0].stream, database, program)
         assert decoder.stats.walked_instructions == run.counters["steps_compiled"]
-        dispatches = sum(1 for item in items if isinstance(item, InterpDispatch))
-        assert dispatches == run.counters["steps_interp"]
+        assert columns.sources.count("interp") == run.counters["steps_interp"]
         assert decoder.stats.anomalies == 0

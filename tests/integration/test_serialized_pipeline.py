@@ -4,7 +4,7 @@ Mirrors the paper's deployment: the online collector dumps per-thread
 trace files; the offline analyser later reads them back and reconstructs.
 """
 
-from repro.core import JPortal
+from repro.core import JPortal, MetricsRegistry
 from repro.core.metadata import collect_metadata
 from repro.core.multicore import split_by_thread
 from repro.jvm.jit import JITPolicy
@@ -12,7 +12,12 @@ from repro.jvm.runtime import RuntimeConfig, run_program
 from repro.pt.perf import collect
 from repro.pt.serialize import dump_bytes, load_bytes, read_stream, write_stream
 
-from ..conftest import build_figure2_program, lossless_config, lossy_config
+from ..conftest import (
+    build_figure2_program,
+    decode_columns,
+    lossless_config,
+    lossy_config,
+)
 
 
 class TestFileRoundTrip:
@@ -35,16 +40,13 @@ class TestFileRoundTrip:
         # Offline side: read files back and decode/reconstruct manually.
         database = collect_metadata(run)
         jportal = JPortal(program)
-        from repro.pt.decoder import PTDecoder
-
         for tid, path in paths.items():
             with open(path, "rb") as source:
                 stream = read_stream(source)
-            decoder = PTDecoder(database)
-            items = decoder.decode(stream)
-            observed = jportal._lift(tid, items, database)
-            projection = jportal.projector.project(observed.steps())
-            assert projection.path == run.threads[tid].truth
+            _decoder, observed = decode_columns(stream, database, program, tid)
+            flow = jportal._project_and_recover(observed, MetricsRegistry(), tid)
+            assert flow.segments == [run.threads[tid].truth]
+            assert flow.reconstructed_nodes() == run.threads[tid].truth
 
     def test_lossy_trace_survives_serialisation(self, tmp_path):
         program = build_figure2_program(iterations=300)

@@ -10,7 +10,6 @@ from repro.core import JPortal
 from repro.core.metadata import collect_metadata
 from repro.core.multicore import split_by_thread
 from repro.jvm.runtime import RuntimeConfig, run_program
-from repro.pt.decoder import PTDecoder
 from repro.pt.packets import (
     AuxLossRecord,
     FUPPacket,
@@ -30,7 +29,12 @@ from repro.pt.serialize import (
     read_stream,
 )
 
-from ..conftest import build_figure2_program, lossless_config, lossy_config
+from ..conftest import (
+    build_figure2_program,
+    decode_columns,
+    lossless_config,
+    lossy_config,
+)
 
 # ------------------------------------------------------------------ strategies
 tscs = st.integers(0, 2**60)
@@ -98,18 +102,17 @@ class TestRoundTrip:
 
     def test_decode_from_serialized_trace(self):
         """The full offline path works from a deserialised file."""
-        run = run_program(build_figure2_program(60), RuntimeConfig(cores=1))
+        program = build_figure2_program(60)
+        run = run_program(program, RuntimeConfig(cores=1))
         trace = collect(run, lossless_config())
         threads = split_by_thread(trace)
         data = dump_bytes(threads[0].stream)
         restored = load_bytes(data)
         database = collect_metadata(run)
-        direct = PTDecoder(database).decode(threads[0].stream)
-        reloaded = PTDecoder(database).decode(restored)
-        assert len(direct) == len(reloaded)
-        assert [type(i).__name__ for i in direct] == [
-            type(i).__name__ for i in reloaded
-        ]
+        direct = decode_columns(threads[0].stream, database, program)[1]
+        reloaded = decode_columns(restored, database, program)[1]
+        assert direct.step_count() > 0
+        assert reloaded == direct
 
 
 class TestFormatErrors:
@@ -216,13 +219,15 @@ class TestIterStream:
     def test_decoder_accepts_generator(self):
         """The decode pipeline consumes the stream exactly once, so the
         streaming reader plugs in without materialising the list."""
-        run = run_program(build_figure2_program(60), RuntimeConfig(cores=1))
+        program = build_figure2_program(60)
+        run = run_program(program, RuntimeConfig(cores=1))
         trace = collect(run, lossless_config())
         threads = split_by_thread(trace)
         database = collect_metadata(run)
         data = dump_bytes(threads[0].stream)
-        direct = PTDecoder(database).decode(threads[0].stream)
-        streamed = PTDecoder(database).decode(iter_stream(io.BytesIO(data)))
-        assert [type(i).__name__ for i in direct] == [
-            type(i).__name__ for i in streamed
-        ]
+        direct = decode_columns(threads[0].stream, database, program)[1]
+        streamed = decode_columns(
+            iter_stream(io.BytesIO(data)), database, program
+        )[1]
+        assert direct.step_count() > 0
+        assert streamed == direct

@@ -108,19 +108,20 @@ def stream_fixture():
     interp_program, interp_run = _interpreted_run()
     return {
         "program": program,
-        "jportal": JPortal(program, engine="array"),
+        "jportal": JPortal(program),
         "lossless": collect(run, lossless_config()),
         "lossy": collect(run, lossy_config(capacity=600, bandwidth=0.1)),
         "database": collect_metadata(run),
         "interp_program": interp_program,
-        "interp_jportal": JPortal(interp_program, engine="array"),
+        "interp_jportal": JPortal(interp_program),
         "interp_trace": collect(interp_run, lossless_config()),
         "interp_database": collect_metadata(interp_run),
     }
 
 
 def assert_results_identical(result, baseline, note: str) -> None:
-    """The engine-equivalence suite's bit-identity contract."""
+    """Bit-identity of two analysis results: flows, anomaly counts,
+    recovery and projection stats."""
     __tracebackhide__ = True
     assert result.flows == baseline.flows, note
     assert result.anomalies == baseline.anomalies, note

@@ -149,7 +149,7 @@ class TestStreamUnderSidebandJitter:
     def test_jittered_sideband_finalize_equals_batch(self, tmp_path):
         for name, size in (("h2", 30), ("pmd", 4)):
             subject = build_subject(name, size=size)
-            jportal = JPortal(subject.program, engine="array")
+            jportal = JPortal(subject.program)
             clean_owners = None
             for jitter in (0,) + self.JITTERS:
                 run = subject.run(
