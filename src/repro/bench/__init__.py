@@ -13,17 +13,23 @@ The committed ``BENCH_2026-08-08.json`` holds two runs: ``pre``, measured
 on the per-item object decode core that has since been deleted (kept as
 history), and ``post``, the fused columnar core every run now uses.
 
+Every Table 5 row carries ``flow_sha256``, a sha256 over the subject's
+final flows, and ``gc_s``, the cyclic collector's seconds inside the
+analysis.
+
 CI's ``perf-smoke`` job reruns a reduced subject matrix and calls
 :func:`check_regression` against the committed ``post`` entry, failing
 on a >20% decode-throughput drop, a >20% rise in aggregate split,
-reconstruct or recovery time, a checkpoint restore slower than a cold
-replay (beyond the same 20%), or checkpoint writes costing as much as
-the polls they protect (see ``--check-against``).
+reconstruct or recovery time, a changed ``flow_sha256`` on any subject,
+a checkpoint restore slower than a cold replay (beyond the same 20%),
+or checkpoint writes costing as much as the polls they protect (see
+``--check-against``).
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -83,6 +89,43 @@ def _subject_setup(name: str):
     return subject, run, config
 
 
+def flow_sha256(result) -> str:
+    """sha256 over every final flow entry of *result*, threads in tid
+    order: ``"%d\\t%r\\t%s\\n" % (tid, node, provenance)`` per entry, the
+    same text perfbench's ``digest_entries`` hashes."""
+    sha = hashlib.sha256()
+    for tid in sorted(result.flows):
+        sha.update(
+            "".join(
+                "%d\t%r\t%s\n" % (tid, node, provenance)
+                for node, provenance in result.flows[tid].flow.entries
+            ).encode("utf-8")
+        )
+    return sha.hexdigest()
+
+
+class _CollectorClock:
+    """Seconds the cyclic garbage collector runs inside a ``with`` block,
+    from a ``gc.callbacks`` hook installed only for that block."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, _info) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+
+    def __enter__(self) -> "_CollectorClock":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        gc.callbacks.remove(self)
+
+
 def run_table5(
     subjects: Optional[Iterable[str]] = None,
     cache_dir: Optional[str] = None,
@@ -104,7 +147,8 @@ def run_table5(
         )
         trace = collect(run, config)
         database = collect_metadata(run)
-        result = jportal.analyze_trace(trace, database)
+        with _CollectorClock() as collector:
+            result = jportal.analyze_trace(trace, database)
         timings = result.timings
         rows[name] = {
             "pt_bytes": pt_bytes,
@@ -118,6 +162,8 @@ def run_table5(
             "anomalies": result.anomalies,
             "loss_fraction": result.loss_fraction,
             "threads": len(timings.per_thread),
+            "flow_sha256": flow_sha256(result),
+            "gc_s": collector.seconds,
         }
     return {"rows": rows, "totals": _totals(rows)}
 
@@ -542,7 +588,12 @@ def check_regression(
     cover thread reassembly, projection and hole recovery: the aggregate
     ``split_s``, ``reconstruct_s`` and ``recovery_s`` over the same
     subjects may not rise beyond *tolerance* (each skipped, with a "not
-    gated" line, when the baseline rows predate its column).  When
+    gated" line, when the baseline rows predate its column).  Outputs
+    are gated exactly: a common subject whose baseline row has a
+    ``flow_sha256`` must reproduce it, so a speed-up that also changes
+    the flows fails instead of being averaged away (a "not gated" line
+    when no baseline row has the column).  ``gc_s`` is recorded, not
+    gated.  When
     *current* carries a ``resilience`` run, restoring from its half-way
     checkpoint may not take longer than a cold replay beyond
     *tolerance*, and its ``checkpoint_overhead_fraction`` must stay
@@ -589,6 +640,24 @@ def check_regression(
     if not ok:
         verdict += "  REGRESSION (>%d%%)" % round(tolerance * 100)
     messages.append(verdict)
+    fingerprinted = [n for n in names if "flow_sha256" in baseline[n]]
+    if fingerprinted:
+        changed = [
+            n
+            for n in fingerprinted
+            if current_rows[n].get("flow_sha256") != baseline[n]["flow_sha256"]
+        ]
+        line = "aggregate   fingerprint %d/%d subjects match baseline" % (
+            len(fingerprinted) - len(changed), len(fingerprinted)
+        )
+        if changed:
+            ok = False
+            line += "  REGRESSION (flows changed: %s)" % ", ".join(changed)
+        messages.append(line)
+    else:
+        messages.append(
+            "aggregate   fingerprint not gated (baseline predates column)"
+        )
     for phase in ("split", "reconstruct", "recovery"):
         column = phase + "_s"
         if not all(column in baseline[n] for n in names):

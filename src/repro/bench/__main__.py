@@ -73,8 +73,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check-against", default=None, metavar="BENCH_JSON",
-        help="compare decode throughput against this committed bench file "
-             "and exit 1 on a regression beyond --tolerance",
+        help="compare decode throughput, phase times and flow fingerprints "
+             "against this committed bench file and exit 1 on a regression "
+             "beyond --tolerance or a changed fingerprint",
     )
     parser.add_argument(
         "--check-run", default="post",
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
         for message in messages:
             print("bench:", message)
         if not ok:
-            print("bench: FAIL decode throughput regression")
+            print("bench: FAIL regression against baseline")
             return 1
         print("bench: OK within %.0f%% of baseline" % (args.tolerance * 100))
     return 0

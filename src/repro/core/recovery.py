@@ -34,8 +34,8 @@ from bisect import bisect_right
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..jvm.icfg import ICFG
 from ..jvm.opcodes import tier
@@ -162,6 +162,25 @@ def _untimed(_phase: str, tid: Optional[int] = None):
     return nullcontext()
 
 
+class _Pairs(dict):
+    """entry -> the shared ``(entry, provenance)`` pair of one provenance.
+
+    An entry outside the table gets a fresh pair that is not stored: the
+    table is never written after construction, because concurrent
+    chains on the thread backend share one engine.
+    """
+
+    def __init__(self, entries: Iterable[Entry], provenance: str):
+        super().__init__((entry, (entry, provenance)) for entry in entries)
+        self.provenance = provenance
+
+    def __missing__(self, entry: Entry) -> Tuple[Entry, str]:
+        return (entry, self.provenance)
+
+    def label(self, entries: Iterable[Entry]) -> List[Tuple[Entry, str]]:
+        return list(map(self.__getitem__, entries))
+
+
 def _none_free_suffix(entries: Sequence[Entry], limit: int) -> int:
     """Length of the longest suffix of *entries* holding no ``None``,
     capped at *limit* (only the last *limit* entries are looked at)."""
@@ -193,6 +212,14 @@ class RecoveryEngine:
             frozenset(node for node, level in levels.items() if level <= 1),
             frozenset(node for node, level in levels.items() if level <= 2),
         )
+        # One shared (entry, provenance) pair per ICFG node and None: a
+        # flow holds references, not a fresh tuple per entry, so labelling
+        # a long flow allocates nothing the collector has to scan.
+        entries = [*levels, None]
+        self._pairs: Dict[str, _Pairs] = {
+            provenance: _Pairs(entries, provenance)
+            for provenance in ("decoded", "recovered", "fallback")
+        }
 
     def _anchor_quality(self, anchor: Tuple[Node, ...]) -> float:
         if self.observability is None or not anchor:
@@ -211,7 +238,14 @@ class RecoveryEngine:
         """Recover a thread flow of ``len(segments)`` segments separated by
         ``len(holes)`` holes (``holes[i]`` sits after ``segments[i]``).
 
-        A trailing hole (fewer segments than holes + 1) is left unfilled.
+        A trailing hole (``holes[i]`` with no ``segments[i + 1]``) has no
+        post-hole context: the continuation of the best-ranked CS that has
+        one is copied up to the instruction budget, or to the end of that
+        CS if shorter.  Only a trailing hole that no CS candidate fills
+        reaches the ICFG fallback, which leaves it unfilled because there
+        is no post-hole target.  Holes past ``len(segments)`` are counted
+        in ``stats.holes`` but never examined.
+
         When a :class:`~repro.core.metrics.MetricsRegistry` is supplied,
         the run's stats are published under ``recover.*`` for *tid*, and
         its time under the ``recovery.index`` / ``.rank`` / ``.fill`` /
@@ -226,15 +260,16 @@ class RecoveryEngine:
         )
         if not holes:
             with timer("recovery.fill", tid=tid):
-                entries = list(zip(chain.from_iterable(segments), repeat("decoded")))
+                entries = self._pairs["decoded"].label(chain.from_iterable(segments))
             return RecoveredFlow(entries=entries, stats=stats)
         with timer("recovery.index", tid=tid):
             views = [_SegmentView(segment, self._tiers) for segment in segments]
             index = self._build_anchor_index(views, len(holes), stats)
         entries: List[Tuple[Entry, str]] = []
+        decoded = self._pairs["decoded"].__getitem__
         for position, view in enumerate(views):
             with timer("recovery.fill", tid=tid):
-                entries.extend(zip(view.entries, repeat("decoded")))
+                entries.extend(map(decoded, view.entries))
             if position < len(holes):
                 next_view = views[position + 1] if position + 1 < len(views) else None
                 fill = self._fill_hole(
@@ -334,7 +369,7 @@ class RecoveryEngine:
                     if fill is not None:
                         stats.filled_from_cs += 1
                         stats.recovered_instructions += len(fill)
-                        return [(entry, "recovered") for entry in fill]
+                        return self._pairs["recovered"].label(fill)
         with timer("recovery.fallback", tid=tid):
             return self._fallback(is_view, next_view, stats)
 
@@ -477,7 +512,7 @@ class RecoveryEngine:
             return []
         stats.filled_fallback += 1
         stats.recovered_instructions += len(path)
-        return [(node, "fallback") for node in path]
+        return self._pairs["fallback"].label(path)
 
     def _icfg_path(self, source: Node, target: Node) -> Optional[List[Node]]:
         """Shortest ICFG path strictly between *source* and *target*."""

@@ -5,13 +5,23 @@ The subject-running halves (:func:`repro.bench.run_table5`,
 ``python -m repro.bench`` invocations that produce the committed
 ``BENCH_*.json``; these tests pin the parts CI correctness depends on --
 the merge format, the regression gates' aggregate decode-throughput,
-split-time, reconstruct-time and recovery-time math, and the resilience
-checks -- on synthetic numbers, without running any subject.
+split-time, reconstruct-time and recovery-time math, the flow
+fingerprint gate, and the resilience checks -- on synthetic numbers,
+without running any subject.
 """
 
+import gc
+import hashlib
 import json
+from types import SimpleNamespace
 
-from repro.bench import check_regression, merge_into, run_id
+from repro.bench import (
+    _CollectorClock,
+    check_regression,
+    flow_sha256,
+    merge_into,
+    run_id,
+)
 
 
 def _entry(rows):
@@ -232,6 +242,74 @@ class TestSplitGate:
             "aggregate   reconstruct 4.000s vs baseline 4.000s (1.00x)"
             in messages
         )
+
+
+class TestFingerprintGate:
+    """A changed ``flow_sha256`` fails the gate outright, whatever the
+    timings say; a baseline without the column says so."""
+
+    ROWS = {
+        name: dict(row, flow_sha256="%064x" % index)
+        for index, (name, row) in enumerate(TestSplitGate.ROWS.items())
+    }
+
+    def test_equal_fingerprint_passes(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        ok, messages = check_regression(_entry(self.ROWS), path)
+        assert ok
+        assert "aggregate   fingerprint 2/2 subjects match baseline" in messages
+
+    def test_changed_fingerprint_fails(self, tmp_path):
+        path = _baseline_file(tmp_path, self.ROWS)
+        changed = dict(self.ROWS, b=dict(self.ROWS["b"], flow_sha256="f" * 64))
+        ok, messages = check_regression(_entry(changed), path)
+        assert not ok
+        flagged = [message for message in messages if "REGRESSION" in message]
+        assert flagged == [
+            "aggregate   fingerprint 1/2 subjects match baseline"
+            "  REGRESSION (flows changed: b)"
+        ]
+
+    def test_baseline_without_fingerprint_column_skips_gate(self, tmp_path):
+        path = _baseline_file(tmp_path, TestSplitGate.ROWS)
+        slower = {
+            name: dict(row, split_s=row["split_s"] * 2)
+            for name, row in self.ROWS.items()
+        }
+        ok, messages = check_regression(_entry(slower), path)
+        assert [m for m in messages if "fingerprint" in m] == [
+            "aggregate   fingerprint not gated (baseline predates column)"
+        ]
+        # The phases the baseline has are still gated.
+        assert not ok
+        flagged = [message for message in messages if "REGRESSION" in message]
+        assert len(flagged) == 1 and "split" in flagged[0]
+
+
+class TestRowColumns:
+    """The ``flow_sha256`` and ``gc_s`` columns of a Table 5 row."""
+
+    def test_flow_sha256_hashes_one_line_per_entry_in_tid_order(self):
+        def thread(entries):
+            return SimpleNamespace(flow=SimpleNamespace(entries=entries))
+
+        result = SimpleNamespace(
+            flows={
+                7: thread([(("A.m", 1), "recovered")]),
+                2: thread([(("A.m", 0), "decoded"), (None, "fallback")]),
+            }
+        )
+        text = "2\t('A.m', 0)\tdecoded\n2\tNone\tfallback\n7\t('A.m', 1)\trecovered\n"
+        assert flow_sha256(result) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_collector_clock_times_only_its_block(self):
+        with _CollectorClock() as clock:
+            gc.collect()
+        seconds = clock.seconds
+        assert seconds > 0
+        assert clock not in gc.callbacks
+        gc.collect()
+        assert clock.seconds == seconds
 
 
 class TestResilienceGate:

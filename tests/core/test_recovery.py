@@ -1,5 +1,9 @@
 """Unit tests for abstraction-guided data recovery (Section 5)."""
 
+import gc
+import tracemalloc
+from itertools import chain, repeat
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,3 +240,103 @@ class TestProperties:
                 left, right = entries[i], entries[i + 1]
                 successors = {dst for dst, _k in icfg.successors(left)}
                 assert right in successors
+
+
+def _labelled(entries, provenance):
+    """The per-entry reference: one fresh ``(entry, provenance)`` each."""
+    return list(zip(entries, repeat(provenance)))
+
+
+MISSING = ("X.missing", 0)  # not a node of the Figure 2 ICFG
+
+
+class TestSharedEntries:
+    """Flow entries are shared ``(entry, provenance)`` pairs: the same
+    values in the same order as one tuple per entry, with equal entries
+    one immutable object."""
+
+    @staticmethod
+    def _assert_shared(entries):
+        first = {}
+        for pair in entries:
+            assert first.setdefault(pair, pair) is pair, pair
+
+    @staticmethod
+    def _table_sizes(engine):
+        return {provenance: len(table) for provenance, table in engine._pairs.items()}
+
+    def test_zero_hole_flow(self):
+        segments = [FUN_FALSE * 3, MAIN_ITER[:4] + [None] + MAIN_ITER[4:] + [None]]
+        flow = _engine().recover(segments, [])
+        assert flow.entries == _labelled(chain.from_iterable(segments), "decoded")
+        assert (None, "decoded") in flow.entries
+        self._assert_shared(flow.entries)
+
+    def test_cs_filled_flow(self):
+        segment1 = (_iteration(True) + _iteration(False)) * 3 + _iteration(True)[:20]
+        missing = _iteration(True)[20:]
+        segment2 = _iteration(False) * 2
+        flow = _engine().recover([segment1, segment2], [_hole(len(missing) * 2)])
+        assert flow.stats.filled_from_cs == 1
+        assert flow.entries == (
+            _labelled(segment1, "decoded")
+            + _labelled(missing, "recovered")
+            + _labelled(segment2, "decoded")
+        )
+        self._assert_shared(flow.entries)
+
+    def test_fallback_filled_flow(self):
+        engine = _engine()
+        flow = engine.recover([MAIN_ITER, MAIN_RET], [_hole()])
+        assert flow.stats.filled_fallback == 1
+        path = engine._icfg_path(MAIN_ITER[-1], MAIN_RET[0])
+        assert path
+        assert flow.entries == (
+            _labelled(MAIN_ITER, "decoded")
+            + _labelled(path, "fallback")
+            + _labelled(MAIN_RET, "decoded")
+        )
+        # A shortest path repeats no node: sharing shows across flows.
+        again = engine.recover([MAIN_ITER, MAIN_RET], [_hole()])
+        assert all(a is b for a, b in zip(flow.entries, again.entries))
+
+    def test_trailing_hole_flow(self):
+        unit = _iteration(True)
+        segment = unit * 3
+        newest = 2 * len(unit) - 1
+        engine = _engine(cost_per_instruction=1.0, budget_slack=1.0)
+        flow = engine.recover([segment], [_hole(duration=7)])
+        assert flow.entries == (
+            _labelled(segment, "decoded")
+            + _labelled(segment[newest + 1 : newest + 8], "recovered")
+        )
+        self._assert_shared(flow.entries)
+
+    def test_node_outside_the_icfg_gets_a_fresh_pair(self):
+        engine = _engine(cost_per_instruction=1.0)
+        sizes = self._table_sizes(engine)
+        flow = engine.recover([[MISSING] + FUN_FALSE], [])
+        assert flow.entries == _labelled([MISSING] + FUN_FALSE, "decoded")
+        # A CS continuation holding the unknown node copies it as well.
+        unit = _iteration(True) + [MISSING]
+        segment = unit * 3
+        flow = engine.recover([segment], [_hole(duration=10**4)])
+        assert (MISSING, "recovered") in flow.entries
+        assert flow.entries[: len(segment)] == _labelled(segment, "decoded")
+        assert self._table_sizes(engine) == sizes
+
+    def test_zero_hole_flow_holds_no_tuple_per_entry(self):
+        """One reference per entry: a tuple per entry would hold ~64 B."""
+        count = 100_000
+        segment = (FUN_FALSE * (count // len(FUN_FALSE) + 1))[:count]
+        engine = _engine()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flow = engine.recover([segment], [])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(flow.entries) == count
+        assert held <= 16 * count, held / count
