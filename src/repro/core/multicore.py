@@ -22,6 +22,11 @@ the hole sees its share -- and per-core totals stay conserved.  Each
 per-thread stream is then a TSC-ordered list of
 ``("packet" | "loss", item)`` entries ready for the trace-source engine
 (:mod:`repro.tracesource.engine`).
+
+One function, :func:`split_windows`, holds this rule.  Batch analysis
+applies it to a whole trace (:func:`split_by_thread`); the stream service
+(:mod:`repro.stream.service`) applies it to each slice of entries below
+its commit watermark, and the slices' splits concatenate to the batch's.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import attrgetter, le
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from ..jvm.machine import ThreadSwitchRecord
 from ..pt.packets import AuxLossRecord
@@ -124,35 +129,45 @@ def split_loss_at_switches(
     return out
 
 
-def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
-    """Reassemble per-thread streams from a collected :class:`PTTrace`.
+def switch_timelines(
+    switches: Sequence[ThreadSwitchRecord],
+) -> Tuple[Dict[int, Tuple[List[int], List[int]]], int]:
+    """Per core, the switch timestamps and tids, stably sorted by
+    (possibly jittered) timestamp; plus the owner of cores without
+    sideband: the earliest owner observed anywhere, never a phantom tid
+    0 (unless there is no sideband at all)."""
+    by_core: Dict[int, List[ThreadSwitchRecord]] = {}
+    for record in sorted(switches, key=attrgetter("tsc")):
+        by_core.setdefault(record.core, []).append(record)
+    timelines = {
+        core: ([r.tsc for r in records], [r.tid for r in records])
+        for core, records in by_core.items()
+    }
+    default_tid = min(switches, key=attrgetter("tsc")).tid if switches else 0
+    return timelines, default_tid
 
-    Each core's packets are cut into windows at its switch timestamps; a
-    packet belongs to the last record at or below its tsc (on equal
-    timestamps the last record wins).  A loss sits after the packets with
-    ``tsc <= start_tsc``.  Per thread the order is ``(tsc, sequence)``,
-    the sequence being core order, then position within the core.  Runs
-    are appended in sequence order and each thread's concatenation gets
-    one stable sort on the timestamp key (a single pass when one core fed
-    the thread).  That sort, not the runs' first timestamps, is what
-    orders equal-timestamp entries across a migration.
+
+def split_windows(
+    cores: Iterable[Tuple[int, Sequence[object], Sequence[AuxLossRecord]]],
+    timelines: Dict[int, Tuple[List[int], List[int]]],
+    default_tid: int,
+) -> Dict[int, TaggedStream]:
+    """Per-thread tagged streams of ``(core, packets, losses)`` triples:
+    the attribution rule of a whole trace (:func:`split_by_thread`) and
+    of each watermark slice the stream service releases.
+
+    Each core's packets are cut into windows at the switch timestamps
+    inside their tsc range; a packet belongs to the last record at or
+    below its tsc (on equal timestamps the last record wins).  A loss
+    sits after the packets with ``tsc <= start_tsc``.  Per thread the
+    order is ``(tsc, sequence)``, the sequence being the order of
+    *cores*, then position within the core: runs are appended in
+    sequence order and each thread's concatenation gets one stable sort
+    on the timestamp key.  That sort, not the runs' first timestamps, is
+    what orders equal-timestamp entries across a migration.  So cutting
+    every core below one timestamp and splitting both sides gives, per
+    thread, the two halves of the split of the whole.
     """
-    # Switch records per core, sorted by (possibly jittered) timestamp.
-    switches_by_core: Dict[int, List[ThreadSwitchRecord]] = {}
-    for record in trace.thread_switches:
-        switches_by_core.setdefault(record.core, []).append(record)
-    for records in switches_by_core.values():
-        records.sort(key=lambda record: record.tsc)
-
-    # A core with packets but no switch records has no sideband at all;
-    # attributing to tid 0 would invent a phantom thread whenever tid 0
-    # never ran there.  Fall back to the earliest owner observed anywhere.
-    default_tid = 0
-    if trace.thread_switches:
-        default_tid = min(trace.thread_switches, key=lambda record: record.tsc).tid
-
-    source = getattr(trace.config, "frontend", "pt") or "pt"
-
     # Per thread, in sequence order: the entries and their timestamp keys.
     streams: Dict[int, TaggedStream] = {}
     keys: Dict[int, List[int]] = {}
@@ -163,19 +178,14 @@ def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
         streams[tid] += entries
         keys[tid] += entry_keys
 
-    for core_trace in trace.cores:
-        records = switches_by_core.get(core_trace.core, [])
-        timestamps = [record.tsc for record in records]
+    for core, packets, losses in cores:
+        timestamps, tids = timelines.get(core, ((), ()))
 
         def owner_of(tsc: int) -> int:
-            position = bisect_right(timestamps, tsc) - 1
-            if position < 0:
-                # Before the first switch: attribute to this core's first
-                # real owner (never a phantom tid 0).
-                return records[0].tid if records else default_tid
-            return records[position].tid
+            if not tids:
+                return default_tid
+            return tids[max(bisect_right(timestamps, tsc) - 1, 0)]
 
-        packets = core_trace.packets
         tscs = list(map(attrgetter("tsc"), packets))
         if not all(map(le, tscs, islice(tscs, 1, None))):
             # Salvaged archives can be out of order: stable sort first.
@@ -184,15 +194,18 @@ def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
             tscs = list(map(tscs.__getitem__, order))
         entries = list(zip(repeat("packet"), packets))
 
-        # Window k owns packets [cuts[k][0], cuts[k + 1][0]).
-        cuts = [(0, records[0].tid if records else default_tid)]
-        position = 0
-        for record in records[1:]:
-            position = bisect_left(tscs, record.tsc, position)
-            cuts.append((position, record.tid))
+        # Window k owns packets [cuts[k][0], cuts[k + 1][0]); records at
+        # or below the first packet only pick the first window's owner.
+        cuts = [(0, owner_of(tscs[0]) if tscs else default_tid)]
+        if tscs:
+            first = max(bisect_right(timestamps, tscs[0]), 1)
+            position = 0
+            for index in range(first, bisect_right(timestamps, tscs[-1])):
+                position = bisect_left(tscs, timestamps[index], position)
+                cuts.append((position, tids[index]))
         cuts.append((len(tscs), None))
 
-        losses = sorted(core_trace.losses, key=attrgetter("start_tsc"))
+        losses = sorted(losses, key=attrgetter("start_tsc"))
         next_loss = 0
         for (start, tid), (end, _) in zip(cuts, cuts[1:]):
             while next_loss < len(losses):
@@ -205,8 +218,7 @@ def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
                     start = at
                 # A loss span crossing switch boundaries is cut per
                 # owner; the pieces stay contiguous at the original
-                # stream position (key = the span's start) so the
-                # streaming release order reproduces this exactly.
+                # stream position (key = the span's start).
                 for piece_tid, piece in split_loss_at_switches(
                     loss, timestamps, owner_of
                 ):
@@ -215,10 +227,24 @@ def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
             if start < end:
                 emit(tid, entries[start:end], tscs[start:end])
 
-    threads: Dict[int, ThreadTrace] = {}
     for tid, stream in streams.items():
         # A stable sort keeps sequence order among equal timestamps.
         order = sorted(range(len(stream)), key=keys[tid].__getitem__)
-        stream = list(map(stream.__getitem__, order))
-        threads[tid] = ThreadTrace(tid=tid, stream=stream, source=source)
-    return threads
+        streams[tid] = list(map(stream.__getitem__, order))
+    return streams
+
+
+def split_by_thread(trace: PTTrace) -> Dict[int, ThreadTrace]:
+    """Reassemble per-thread streams from a collected :class:`PTTrace`:
+    :func:`split_windows` over every core, in ``trace.cores`` order."""
+    timelines, default_tid = switch_timelines(trace.thread_switches)
+    streams = split_windows(
+        ((core.core, core.packets, core.losses) for core in trace.cores),
+        timelines,
+        default_tid,
+    )
+    source = getattr(trace.config, "frontend", "pt") or "pt"
+    return {
+        tid: ThreadTrace(tid=tid, stream=stream, source=source)
+        for tid, stream in streams.items()
+    }

@@ -18,10 +18,13 @@ salvage accounting of a batch
 file.  Two mechanisms enforce it:
 
 * the **watermark release** rule: a parsed entry is handed to a
-  decoder only once its timestamp is strictly below every known core's
-  last-seen timestamp, so the merged per-thread streams reproduce the
-  batch reassembly order (:func:`~repro.core.multicore.split_by_thread`)
-  exactly -- equal-timestamp ties cannot straddle the watermark;
+  decoder only once its timestamp is strictly below the commit
+  watermark, the timestamp of the latest record on disk, so
+  equal-timestamp ties cannot straddle a release; each release is split
+  by the batch reassembly's own window splitter
+  (:func:`~repro.core.multicore.split_windows`), so the per-thread
+  streams concatenate to :func:`~repro.core.multicore.split_by_thread`'s
+  exactly;
 * the **replay fallback**: any condition under which incremental state
   might diverge from a batch read -- archive damage (torn tails,
   CRC failures, a missing seal), sideband or metadata arriving behind
@@ -54,12 +57,14 @@ escaping exception.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from itertools import islice
+from operator import le
 from typing import Dict, List, Optional, Tuple
 
 from ..core.metrics import MetricsRegistry
-from ..core.multicore import split_loss_at_switches
+from ..core.multicore import split_windows, switch_timelines
 from ..core.observed import ObservedColumns
 from ..core.parallel import BACKENDS, make_executor
 from ..pt.archive import (
@@ -98,11 +103,14 @@ class StreamDecoder:
     Call :meth:`poll` as often as desired while the writer appends;
     call :meth:`finalize` once the writer is done (sealed or crashed).
     Never raises on file content -- damage degrades to the batch-replay
-    path.  Memory stays bounded by the undecoded tail: raw bytes live
-    only in the tail reader's pending buffer, parsed entries only
-    between arrival and watermark release, and decoded steps go
-    straight into the per-thread columns the batch pipeline would have
-    built anyway.
+    path.  This class holds parsed entries only between arrival and
+    watermark release, and raw bytes live only in the tail reader's
+    pending buffer; both are bounded by the undecoded tail.  Two stores
+    grow with the archive: the reader's scanner keeps every accepted
+    segment's entries until :meth:`finalize` assembles the batch-equal
+    contents, and decoded steps accumulate in the per-thread columns the
+    batch pipeline would have built anyway.  :meth:`shed` drops all of
+    it.
     """
 
     def __init__(self, jportal, path, snapshot_path=None, name: str = "tenant"):
@@ -124,26 +132,24 @@ class StreamDecoder:
         self._replay = False
         self._shed = False
         self._finalized = None
-        # Sideband / attribution state (mirrors split_by_thread).
-        self._switches_by_core: Dict[int, List[object]] = {}
-        self._switch_tscs: Dict[int, List[int]] = {}
-        self._default_tid = 0
-        self._default_min_tsc: Optional[int] = None
-        # Per-core parsed-but-unreleased entries, in canonical
-        # (tsc, is_loss) order: (tsc, is_loss, tag, item, seq).
-        self._pending: Dict[int, List[Tuple[int, bool, str, object, int]]] = {}
-        self._last_key: Dict[int, Tuple[int, bool]] = {}
-        self._consumed: Dict[int, int] = {}
-        self._seq_remaining: Dict[int, int] = {}
+        # Switch timelines of the reader's sideband, rebuilt at the first
+        # release after sideband arrives.
+        self._timelines = None
+        # Per core: the parsed-but-unreleased entries in arrival order,
+        # their keys (2 * tsc + is_loss sorts as (tsc, is_loss)), the last
+        # key seen, and where in the pending list each segment ends.
+        self._pending: Dict[int, List[Tuple[str, object]]] = {}
+        self._keys: Dict[int, List[int]] = {}
+        self._last_key: Dict[int, int] = {}
+        self._segment_ends: Dict[int, List[int]] = {}
         self._released_any = False
         self._max_released_tsc = -1
         # Commit-order watermark: the writer appends records globally
         # sorted by (tsc, dump-before-segment), so every future record
         # -- on any core, dump or segment -- carries tsc >= this.
         self._commit_tsc = -1
-        # Incremental metadata: snapshot sidecar + dump journal so far.
+        # Incremental metadata: snapshot sidecar + the reader's journal.
         self._snapshot = None
-        self._journal_dumps: List[object] = []
         self._database = None
         self._db_dirty = True
         # Trace format: "pt" unless a format record says otherwise (the
@@ -315,7 +321,7 @@ class StreamDecoder:
         return sum(len(entries) for entries in self._pending.values())
 
     def lag_segments(self) -> int:
-        return len(self._seq_remaining)
+        return sum(len(ends) for ends in self._segment_ends.values())
 
     def buffered_bytes(self) -> int:
         """Raw tail bytes held by the reader (memory high-water input)."""
@@ -339,14 +345,12 @@ class StreamDecoder:
         self.shed_reason = reason
         self.reader.release()
         self._pending.clear()
-        self._seq_remaining.clear()
+        self._keys.clear()
         self._last_key.clear()
-        self._consumed.clear()
+        self._segment_ends.clear()
         self._decoders.clear()
         self._columns.clear()
-        self._switches_by_core.clear()
-        self._switch_tscs.clear()
-        self._journal_dumps = []
+        self._timelines = None
         self._snapshot = None
         self._database = None
         self._db_dirty = True
@@ -516,15 +520,7 @@ class StreamDecoder:
             # Released entries were attributed with the old switch set;
             # a new switch could re-own them.
             self._flag_replay("sideband records arrived after release")
-        for record in switches:
-            per = self._switches_by_core.setdefault(record.core, [])
-            tscs = self._switch_tscs.setdefault(record.core, [])
-            position = bisect_right(tscs, record.tsc)
-            per.insert(position, record)
-            tscs.insert(position, record.tsc)
-            if self._default_min_tsc is None or record.tsc < self._default_min_tsc:
-                self._default_min_tsc = record.tsc
-                self._default_tid = record.tid
+        self._timelines = None
 
     def _on_format(self, name: str) -> None:
         if name == self._frontend_name:
@@ -541,7 +537,6 @@ class StreamDecoder:
         if dump.load_tsc <= self._max_released_tsc:
             # Already-released entries were decoded without this code.
             self._flag_replay("code dump arrived behind the released watermark")
-        self._journal_dumps.append(dump)
         self._db_dirty = True
 
     def _on_segment(self, record) -> None:
@@ -550,33 +545,31 @@ class StreamDecoder:
         entries = record.payload
         if not entries:
             return
-        new_core = core not in self._last_key
-        pending = self._pending.setdefault(core, [])
-        self._consumed.setdefault(core, 0)
-        last = self._last_key.get(core)
-        count = 0
-        for tag, item in entries:
-            is_loss = tag == "loss"
-            tsc = item.start_tsc if is_loss else item.tsc
-            key = (tsc, is_loss)
-            if last is not None and key < last:
-                # Clean archives commit segments in canonical stream
-                # order; a decrease means this is not a stream we can
-                # decode incrementally in arrival order.
-                self._flag_replay("out-of-order entries on core %d" % core)
-            last = key
-            pending.append((tsc, is_loss, tag, item, record.seq))
-            count += 1
-        self._last_key[core] = last
-        self._seq_remaining[record.seq] = count
-        if new_core and pending[0][0] <= self._max_released_tsc:
+        keys = [
+            2 * item.start_tsc + 1 if tag == "loss" else 2 * item.tsc
+            for tag, item in entries
+        ]
+        if keys[0] < self._last_key.get(core, keys[0]) or not all(
+            map(le, keys, islice(keys, 1, None))
+        ):
+            # Clean archives commit segments in canonical stream order;
+            # a decrease means this is not a stream we can decode
+            # incrementally in arrival order.
+            self._flag_replay("out-of-order entries on core %d" % core)
+        if core not in self._last_key and keys[0] // 2 <= self._max_released_tsc:
             # This core's entries interleave below timestamps we already
             # released for other cores.
             self._flag_replay("core %d first appeared behind the watermark" % core)
+        self._last_key[core] = keys[-1]
+        pending = self._pending.setdefault(core, [])
+        pending += entries
+        self._keys.setdefault(core, []).extend(keys)
+        self._segment_ends.setdefault(core, []).append(len(pending))
 
     # ------------------------------------------------------ release + decode
     def _release(self, final: bool):
-        """Entries whose order relative to all future input is settled.
+        """Per-thread streams of the entries whose order relative to all
+        future input is settled.
 
         The watermark ``W`` is the commit-order tsc of the *latest*
         record on disk.  The writer commits records globally sorted by
@@ -589,69 +582,43 @@ class StreamDecoder:
         later-arriving dump, regardless of poll cadence.  Inputs that
         break the sort premise trip the replay triggers instead.
         ``final=True`` (end of file) releases everything.
+
+        The slices go through the batch splitter,
+        :func:`~repro.core.multicore.split_windows`, and per thread the
+        splits of successive releases concatenate to the batch split.
         """
-        if not self._last_key:
-            return []
-        watermark = None if final else self._commit_tsc
-        merged = []
+        watermark = 2 * self._commit_tsc  # the smallest unreleasable key
+        slices = []
         for core in sorted(self._pending):
             entries = self._pending[core]
-            cut = len(entries)
-            if watermark is not None:
-                cut = 0
-                while cut < len(entries) and entries[cut][0] < watermark:
-                    cut += 1
+            keys = self._keys[core]
+            cut = len(keys) if final else bisect_left(keys, watermark)
             if not cut:
                 continue
-            base = self._consumed[core]
-            for index in range(cut):
-                tsc, _is_loss, tag, item, seq = entries[index]
-                merged.append((tsc, core, base + index, tag, item, seq))
-            self._consumed[core] = base + cut
+            released = entries[:cut]
+            self._max_released_tsc = max(
+                self._max_released_tsc, keys[cut - 1] // 2
+            )
             del entries[:cut]
-        if not merged:
-            return []
-        # The batch reassembly order: (tsc, core, per-core position) --
-        # split_by_thread's global sequence numbers restated.
-        merged.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
+            del keys[:cut]
+            self._segment_ends[core] = [
+                end - cut for end in self._segment_ends[core] if end > cut
+            ]
+            packets = [item for tag, item in released if tag == "packet"]
+            losses = [item for tag, item in released if tag == "loss"]
+            slices.append((core, packets, losses))
+        if not slices:
+            return {}
         self._released_any = True
-        self._max_released_tsc = max(self._max_released_tsc, merged[-1][0])
-        for _tsc, _core, _index, _tag, _item, seq in merged:
-            remaining = self._seq_remaining[seq] - 1
-            if remaining:
-                self._seq_remaining[seq] = remaining
-            else:
-                del self._seq_remaining[seq]
-        return merged
+        if self._timelines is None:
+            self._timelines = switch_timelines(
+                self.reader.contents.thread_switches
+            )
+        return split_windows(slices, *self._timelines)
 
-    def _owner_of(self, core: int, tsc: int) -> int:
-        records = self._switches_by_core.get(core)
-        if not records:
-            return self._default_tid
-        position = bisect_right(self._switch_tscs[core], tsc) - 1
-        if position < 0:
-            return records[0].tid
-        return records[position].tid
-
-    def _feed(self, merged) -> None:
-        if not merged:
+    def _feed(self, runs) -> None:
+        if not runs:
             return
-        runs: Dict[int, List[Tuple[str, object]]] = {}
-        for tsc, core, _index, tag, item, _seq in merged:
-            if tag == "loss":
-                # Same boundary split as split_by_thread: the pieces are
-                # appended here, at the span's release position, which is
-                # exactly where the batch reassembly sorts them.
-                for tid, piece in split_loss_at_switches(
-                    item,
-                    self._switch_tscs.get(core, ()),
-                    lambda t, core=core: self._owner_of(core, t),
-                ):
-                    runs.setdefault(tid, []).append((tag, piece))
-            else:
-                runs.setdefault(self._owner_of(core, tsc), []).append(
-                    (tag, item)
-                )
         database = self._current_database()
         jportal = self.jportal
         batch_decoder = get_frontend(self._frontend_name).batch_decoder
@@ -672,15 +639,14 @@ class StreamDecoder:
 
     def _current_database(self):
         if self._db_dirty or self._database is None:
+            dumps = self.reader.contents.journal_dumps
             if self._snapshot is not None:
-                self._database = self._snapshot.with_dumps(self._journal_dumps)
+                self._database = self._snapshot.with_dumps(dumps)
             else:
                 from ..core.metadata import CodeDatabase
                 from ..jvm.machine import AddressSpace
 
-                self._database = CodeDatabase(
-                    {}, list(self._journal_dumps), AddressSpace()
-                )
+                self._database = CodeDatabase({}, list(dumps), AddressSpace())
             self._db_dirty = False
             # Live decoders rebind to the enlarged database mid-stream:
             # a fresh decoder adopts the old one's state, so the

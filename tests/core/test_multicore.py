@@ -2,11 +2,14 @@
 
 import random
 from bisect import bisect_right
+from operator import attrgetter
 
 from repro.core.multicore import (
     ThreadTrace,
     split_by_thread,
     split_loss_at_switches,
+    split_windows,
+    switch_timelines,
 )
 from repro.jvm.jit import JITPolicy
 from repro.jvm.machine import ThreadSwitchRecord
@@ -431,6 +434,22 @@ def _random_trace(rng):
     return PTTrace(cores=cores, thread_switches=switches, config=config)
 
 
+def _assert_same_streams(actual, expected, case):
+    """*actual* (``{tid: tagged stream}``) equals the reference threads
+    entry by entry: the same packet objects, equal loss pieces."""
+    assert set(actual) == set(expected), case
+    for tid, reference in expected.items():
+        stream = actual[tid]
+        assert [tag for tag, _ in stream] == [
+            tag for tag, _ in reference.stream
+        ], (case, tid)
+        for (tag, item), (_, want) in zip(stream, reference.stream):
+            if tag == "packet":
+                assert item is want, (case, tid)
+            else:
+                assert item == want, (case, tid)
+
+
 class TestWindowSlicedSplit:
     """Differential test: the window-sliced split against the per-packet
     reference, entry by entry."""
@@ -444,18 +463,13 @@ class TestWindowSlicedSplit:
             trace = _random_trace(rng)
             expected = _reference_split_by_thread(trace)
             threads = split_by_thread(trace)
-            assert set(threads) == set(expected), case
+            _assert_same_streams(
+                {tid: thread.stream for tid, thread in threads.items()},
+                expected,
+                case,
+            )
             for tid, reference in expected.items():
-                stream = threads[tid].stream
                 assert threads[tid].source == reference.source, case
-                assert [tag for tag, _ in stream] == [
-                    tag for tag, _ in reference.stream
-                ], (case, tid)
-                for (tag, item), (_, want) in zip(stream, reference.stream):
-                    if tag == "packet":
-                        assert item is want, (case, tid)
-                    else:
-                        assert item == want, (case, tid)
             core_of = {
                 id(packet): core_trace.core
                 for core_trace in trace.cores
@@ -478,3 +492,49 @@ class TestWindowSlicedSplit:
         assert multi_core_tids >= 50
         assert equal_tsc_migrations >= 50
         assert unsorted_cores >= 50
+
+    def test_watermark_slices_concatenate_to_reference(self):
+        """The property the stream service's release relies on: cut each
+        core's entries, in arrival order (packets by tsc, a loss after
+        the packets at or below its start), below a rising sequence of
+        watermarks, split every slice with ``split_windows``, and each
+        thread's pieces concatenate to the per-packet reference split of
+        the whole trace."""
+        rng = random.Random(20261018)
+        slices_split = 0
+        for case in range(self.TRACES):
+            trace = _random_trace(rng)
+            expected = _reference_split_by_thread(trace)
+            timelines, default_tid = switch_timelines(trace.thread_switches)
+            cores = [
+                (
+                    core_trace.core,
+                    sorted(core_trace.packets, key=attrgetter("tsc")),
+                    sorted(core_trace.losses, key=attrgetter("start_tsc")),
+                )
+                for core_trace in trace.cores
+            ]
+            horizon = max(
+                [p.tsc for _, packets, _ in cores for p in packets]
+                + [l.start_tsc for _, _, losses in cores for l in losses]
+                + [0]
+            )
+            cuts = rng.sample(range(horizon + 2), rng.randint(0, min(6, horizon)))
+            bounds = [0] + sorted(cuts) + [horizon + 1]
+            actual = {}
+            for low, high in zip(bounds, bounds[1:]):
+                slices = []
+                for core, packets, losses in cores:
+                    packets = [p for p in packets if low <= p.tsc < high]
+                    losses = [l for l in losses if low <= l.start_tsc < high]
+                    if packets or losses:
+                        slices.append((core, packets, losses))
+                for tid, stream in split_windows(
+                    slices, timelines, default_tid
+                ).items():
+                    actual.setdefault(tid, []).extend(stream)
+                slices_split += bool(slices)
+            _assert_same_streams(actual, expected, case)
+        # Traces must average three non-empty slices (6,720 at this seed),
+        # or this repeats the whole-trace test above.
+        assert slices_split >= 3 * self.TRACES, slices_split

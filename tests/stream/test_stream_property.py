@@ -13,9 +13,11 @@ tenant with a clean seal, the incremental decoder must never fall back
 to batch replay, and must still be bit-identical.
 
 ``TestStreamUnderSidebandJitter`` runs the same identity where jittered
-switch timestamps move packets between threads: there the stream's
-per-entry attribution and the batch ``split_by_thread`` windows are each
-other's independent oracle.
+switch timestamps move packets between threads.  Stream and batch share
+one attribution rule (``split_windows``), so this checks that the
+stream's watermark slices reassemble to the batch split; the rule itself
+is checked against the per-packet reference in
+``tests/core/test_multicore.py``.
 
 ``TestTailReaderPending`` covers the satellite fix directly: an
 unsealed, growing archive's incomplete tail means "more data coming"
