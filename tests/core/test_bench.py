@@ -7,7 +7,8 @@ The subject-running halves (:func:`repro.bench.run_table5`,
 the merge format, the regression gates' aggregate decode-throughput,
 split-time, reconstruct-time and recovery-time math, the flow
 fingerprint gate, and the resilience checks -- on synthetic numbers,
-without running any subject.
+without running any subject.  One test runs ``run_table5`` on a tiny
+batik to check that the timed analysis sees a frozen set-up heap.
 """
 
 import gc
@@ -15,6 +16,7 @@ import hashlib
 import json
 from types import SimpleNamespace
 
+import repro.bench as bench
 from repro.bench import (
     _CollectorClock,
     check_regression,
@@ -22,6 +24,9 @@ from repro.bench import (
     merge_into,
     run_id,
 )
+from repro.pt.buffer import RingBufferConfig
+from repro.pt.perf import PTConfig
+from repro.workloads import build_subject, default_config
 
 
 def _entry(rows):
@@ -310,6 +315,31 @@ class TestRowColumns:
         assert clock not in gc.callbacks
         gc.collect()
         assert clock.seconds == seconds
+
+
+class TestTable5Heap:
+    """``run_table5`` times the analysis over a frozen set-up heap."""
+
+    def test_setup_heap_frozen_only_during_the_row(self, monkeypatch):
+        def small_setup(name):
+            subject = build_subject(name, size=3)
+            buffer = RingBufferConfig(capacity_bytes=10**9, drain_bandwidth=1e9)
+            return subject, subject.run(default_config()), PTConfig(buffer=buffer)
+
+        frozen = []
+
+        class Recording(bench.JPortal):
+            def analyze_trace(self, *args, **kwargs):
+                frozen.append(gc.get_freeze_count())
+                return super().analyze_trace(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_subject_setup", small_setup)
+        monkeypatch.setattr(bench, "JPortal", Recording)
+        before = gc.get_freeze_count()
+        table = bench.run_table5(["batik"])
+        assert table["rows"]["batik"]["entries"] > 0
+        assert len(frozen) == 1 and frozen[0] > 0
+        assert gc.get_freeze_count() == before
 
 
 class TestResilienceGate:
