@@ -23,22 +23,19 @@ Section 3), filtered through the active frontend's
   return sites that happen to begin identically.
 
 The classification is purely static (opcode metadata plus, optionally,
-the exported template table) and is consumed in two places: the recovery
-engine scores hole anchors by how observable their out-edges are
-(:meth:`ObservabilityMap.node_score`), and the ambiguity checker reports
-silent regions alongside its path-level verdicts.  The default model is
-Intel PT's, which reproduces the pre-parametric classification exactly.
+the exported template table); the decodability report
+(:mod:`repro.analysis.report`) lists the silent regions alongside the
+ambiguity checker's path-level verdicts.  The default model is Intel
+PT's, which reproduces the pre-parametric classification exactly.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..jvm.icfg import ICFG, IEdge, IEdgeKind
 from ..jvm.opcodes import Kind
-
-Node = Tuple[str, int]
 
 
 def default_model():
@@ -80,7 +77,6 @@ class ObservabilityMap:
             model = default_model()
         self.model = model
         self._classes: Dict[int, EdgeObservability] = {}
-        self._node_scores: Dict[Node, float] = {}
         self._silent_edges: List[IEdge] = []
         for node in icfg.nodes():
             out = icfg.out_edges(node)
@@ -103,19 +99,6 @@ class ObservabilityMap:
                     self._silent_edges.append(edge)
                 else:
                     self._classes[edge.edge_id] = EdgeObservability.TIP_OBSERVED
-        # Anchor-quality scores: the fraction of a node's out-edges that
-        # are observed at all (an empty out-set is trivially observable).
-        for node in icfg.nodes():
-            out = icfg.out_edges(node)
-            if not out:
-                self._node_scores[node] = 1.0
-                continue
-            observed = sum(
-                1
-                for edge in out
-                if self._classes[edge.edge_id] is not EdgeObservability.SILENT
-            )
-            self._node_scores[node] = observed / len(out)
 
     @staticmethod
     def _token(symbol, template_table, model):
@@ -131,16 +114,6 @@ class ObservabilityMap:
 
     def of_id(self, edge_id: int) -> EdgeObservability:
         return self._classes[edge_id]
-
-    def node_score(self, node: Node) -> float:
-        """Fraction of *node*'s out-edges a trace can discriminate.
-
-        1.0 means every outgoing transfer is pinned by a TNT bit or a
-        unique dispatch TIP; lower values mean a trace through this node
-        may be ambiguous about where it went next -- a weak recovery
-        anchor.
-        """
-        return self._node_scores.get(node, 1.0)
 
     def silent_edges(self) -> List[IEdge]:
         """All SILENT edges, in edge-id order."""

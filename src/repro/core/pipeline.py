@@ -248,11 +248,7 @@ class JPortal:
             analysis=self.analysis_report,
         )
         self.recovery_config = recovery or RecoveryConfig()
-        self.recovery_engine = RecoveryEngine(
-            self.icfg,
-            self.recovery_config,
-            observability=self.analysis_report.observability,
-        )
+        self.recovery_engine = RecoveryEngine(self.icfg, self.recovery_config)
         self.degradation_policy = (
             degradation if degradation is not None else DegradationPolicy()
         )

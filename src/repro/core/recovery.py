@@ -65,11 +65,6 @@ class RecoveryConfig:
     # and the per-tier suffix comparison depth.
     max_candidates: int = 200
     max_suffix_compare: int = 2_048
-    # An anchor whose nodes have mostly SILENT out-edges (static
-    # observability score below this floor) is a weak match key: identical
-    # anchor windows may cover different true paths.  0.0 disables the
-    # filter (default: behave exactly as before analysis existed).
-    min_anchor_quality: float = 0.0
 
 
 @dataclass
@@ -88,15 +83,6 @@ class RecoveryStats:
     tier1_pruned: int = 0
     tier2_pruned: int = 0
     recovered_instructions: int = 0
-    anchors_scored: int = 0
-    anchor_quality_sum: float = 0.0
-    low_quality_anchors: int = 0
-
-    @property
-    def mean_anchor_quality(self) -> float:
-        if self.anchors_scored == 0:
-            return 1.0
-        return self.anchor_quality_sum / self.anchors_scored
 
 
 @dataclass
@@ -194,17 +180,9 @@ def _none_free_suffix(entries: Sequence[Entry], limit: int) -> int:
 class RecoveryEngine:
     """Fills the holes of a segmented, reconstructed thread flow."""
 
-    def __init__(
-        self,
-        icfg: ICFG,
-        config: Optional[RecoveryConfig] = None,
-        observability=None,
-    ):
+    def __init__(self, icfg: ICFG, config: Optional[RecoveryConfig] = None):
         self.icfg = icfg
         self.config = config or RecoveryConfig()
-        # Optional repro.analysis ObservabilityMap: scores each anchor by
-        # how much of its nodes' out-flow a trace can actually pin down.
-        self.observability = observability
         # Nodes of tier <= 1 / <= 2; anything else (unknown nodes
         # included) is concrete-only, tier 3.
         levels = {node: tier(icfg.instruction(node).op) for node in icfg.nodes()}
@@ -220,12 +198,6 @@ class RecoveryEngine:
             provenance: _Pairs(entries, provenance)
             for provenance in ("decoded", "recovered", "fallback")
         }
-
-    def _anchor_quality(self, anchor: Tuple[Node, ...]) -> float:
-        if self.observability is None or not anchor:
-            return 1.0
-        scores = [self.observability.node_score(node) for node in anchor]
-        return sum(scores) / len(scores)
 
     # ------------------------------------------------------------------ API
     def recover(
@@ -286,7 +258,6 @@ class RecoveryEngine:
                 ("recover.unfilled", stats.unfilled),
                 ("recover.candidates_tested", stats.candidates_tested),
                 ("recover.recovered_instructions", stats.recovered_instructions),
-                ("recover.low_quality_anchors", stats.low_quality_anchors),
             ):
                 if value:
                     metrics.incr(name, value, tid=tid)
@@ -385,12 +356,6 @@ class RecoveryEngine:
         is_view = views[is_id]
         anchor = self._anchor_of(is_view)
         if anchor is None:
-            return []
-        quality = self._anchor_quality(anchor)
-        stats.anchors_scored += 1
-        stats.anchor_quality_sum += quality
-        if quality < self.config.min_anchor_quality:
-            stats.low_quality_anchors += 1
             return []
         # The newest `max_candidates` occurrences other than the IS's own:
         # the index keeps one more than the cap, which holds them all

@@ -96,25 +96,7 @@ class TestClassification:
         assert obs.summary() == ObservabilityMap(icfg).summary()
 
 
-class TestNodeScores:
-    def test_silent_out_edges_lower_the_score(self):
-        program = _program_of(_identical_arm_switch())
-        icfg = ICFG(program)
-        obs = ObservabilityMap(icfg)
-        switch_bci = next(
-            inst.bci
-            for inst in program.method("T", "sw").code
-            if inst.kind is Kind.SWITCH
-        )
-        assert obs.node_score(("T.sw", switch_bci)) < 1.0
-
-    def test_fully_observable_nodes_score_one(self):
-        program = _program_of(_cond_method())
-        icfg = ICFG(program)
-        obs = ObservabilityMap(icfg)
-        for node in icfg.nodes():
-            assert obs.node_score(node) == 1.0
-
+class TestSilentEdges:
     def test_silent_by_method_attribution(self):
         program = _program_of(_identical_arm_switch())
         obs = ObservabilityMap(ICFG(program))

@@ -96,15 +96,6 @@ class TestFrontendSelection:
         )
 
 
-class TestObservabilityFeedsRecovery:
-    def test_engine_receives_observability(self):
-        jportal, _result = _analyse()
-        assert jportal.recovery_engine.observability is not None
-        some_node = next(iter(jportal.icfg.nodes()))
-        score = jportal.recovery_engine.observability.node_score(some_node)
-        assert 0.0 <= score <= 1.0
-
-
 class TestCLI:
     def test_cli_single_subject(self):
         proc = subprocess.run(

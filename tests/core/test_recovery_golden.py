@@ -8,8 +8,7 @@ built, not on what recovery decides).  Two families of cases:
 
 * **subjects** -- all nine DaCapo-style subjects at small sizes, traced
   through the ``BUFFER_128`` ring with the drain calibrated to 25% loss
-  and analysed end to end (real projections, real holes, real
-  observability scores);
+  and analysed end to end (real projections, real holes);
 * **synthetic** -- 200 seeded segment/hole sets over the Figure 2
   program: hot repeated anchors (more occurrences than
   ``max_candidates``), ``None`` gaps, empty and short segments, trailing
