@@ -1,9 +1,12 @@
 """Pipeline-level graceful degradation surface.
 
-The decoder-level machinery (the :class:`~repro.pt.decoder.AnomalyKind`
-taxonomy, the :class:`~repro.pt.decoder.DegradationPolicy` error budget,
-and the resync protocol) lives in :mod:`repro.pt.decoder`, next to the
-state machine it modifies; this module is the *pipeline's* view of it:
+The decoder-level machinery (the
+:class:`~repro.tracesource.engine.AnomalyKind` taxonomy, the
+:class:`~repro.tracesource.engine.DegradationPolicy` error budget, and
+the resync protocol) lives in :mod:`repro.tracesource.engine`, next to
+the decode state machine it modifies (:mod:`repro.pt.decoder` re-exports
+the names for compatibility); this module is the *pipeline's* view of
+it:
 
 * re-exports of the policy/taxonomy types, so offline-side code imports
   them from ``repro.core`` without reaching into the PT layer;
@@ -14,9 +17,9 @@ state machine it modifies; this module is the *pipeline's* view of it:
   the single per-kind dict surfaced on
   :attr:`~repro.core.pipeline.JPortalResult.anomalies_by_kind`.
 
-Note on layering: the canonical definitions stay in ``repro.pt.decoder``
-because ``repro.core.pipeline`` imports from it at module level -- the
-reverse import (decoder -> core) would cycle through
+Note on layering: the canonical definitions stay in the frontend-neutral
+engine because ``repro.core.pipeline`` imports from it at module level --
+the reverse import (engine -> core) would cycle through
 ``repro.core.__init__``.
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..pt.decoder import AnomalyKind, DegradationPolicy
+from ..tracesource.engine import AnomalyKind, DegradationPolicy
 from .dfacache import CACHE_METRIC_PREFIX
 from .metrics import MetricsRegistry
 
