@@ -149,31 +149,31 @@ def run_table5(
         database = collect_metadata(run)
         # Collect and freeze the set-up heap (simulator run, trace,
         # database), so that collections inside the timed analysis do not
-        # rescan it; unfreeze after the row, so the next subject's set-up
-        # can free this one's.
+        # rescan it; unfreeze afterwards, so the next subject's set-up can
+        # free this one's.
         gc.collect()
         gc.freeze()
         try:
             with _CollectorClock() as collector:
                 result = jportal.analyze_trace(trace, database)
-            timings = result.timings
-            rows[name] = {
-                "pt_bytes": pt_bytes,
-                "split_s": result.metrics.timing("split"),
-                "decode_s": timings.decode_seconds,
-                "reconstruct_s": timings.reconstruct_seconds,
-                "recovery_s": timings.recovery_seconds,
-                "analysis_s": timings.analysis_seconds,
-                "wall_s": timings.wall_seconds,
-                "entries": result.total_entries(),
-                "anomalies": result.anomalies,
-                "loss_fraction": result.loss_fraction,
-                "threads": len(timings.per_thread),
-                "flow_sha256": flow_sha256(result),
-                "gc_s": collector.seconds,
-            }
         finally:
             gc.unfreeze()
+        timings = result.timings
+        rows[name] = {
+            "pt_bytes": pt_bytes,
+            "split_s": result.metrics.timing("split"),
+            "decode_s": timings.decode_seconds,
+            "reconstruct_s": timings.reconstruct_seconds,
+            "recovery_s": timings.recovery_seconds,
+            "analysis_s": timings.analysis_seconds,
+            "wall_s": timings.wall_seconds,
+            "entries": result.total_entries(),
+            "anomalies": result.anomalies,
+            "loss_fraction": result.loss_fraction,
+            "threads": len(timings.per_thread),
+            "flow_sha256": flow_sha256(result),
+            "gc_s": collector.seconds,
+        }
     return {"rows": rows, "totals": _totals(rows)}
 
 
