@@ -158,7 +158,8 @@ def split_windows(
 
     Each core's packets are cut into windows at the switch timestamps
     inside their tsc range; a packet belongs to the last record at or
-    below its tsc (on equal timestamps the last record wins).  A loss
+    below its tsc (on equal timestamps the last record wins), or before
+    the core's first record to that record's tid.  A loss
     sits after the packets with ``tsc <= start_tsc``.  Per thread the
     order is ``(tsc, sequence)``, the sequence being the order of
     *cores*, then position within the core: runs are appended in
