@@ -9,10 +9,12 @@ Compares, on generated programs of growing size:
   * the production subset-simulation projector, in paper-faithful NFA
     mode and in context-sensitive (PDA) mode.
 
-Checked shapes: all matchers agree on feasibility; Algorithm 2 never
-tries more concrete starts than Algorithm 1; the projector is the
-fastest; PDA mode resolves return-site ambiguity that NFA mode gets
-wrong (exactness on lossless traces).
+Checked shapes: Algorithms 1 and 2 return the same full path and the
+projector matches every step; the abstract pre-filter never leaves more
+starts than carry the first symbol, so Algorithm 2 never tries more
+concrete starts than Algorithm 1; PDA mode is exact on a lossless trace,
+where NFA mode may pick a wrong (but feasible) return site.  The times
+are printed, not compared.
 """
 
 import time
@@ -27,12 +29,11 @@ from repro.core.reconstruct import (
     _abstract_accepts,
     abstraction_guided,
     enumerate_and_test,
-    match_from,
 )
 from repro.jvm.icfg import ICFG
 from repro.jvm.jit import JITPolicy
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig
-from repro.jvm.opcodes import tier
+from repro.jvm.opcodes import Kind, info, tier
 from repro.workloads.generator import GeneratorConfig, generate_program
 
 
@@ -45,29 +46,28 @@ def _observed_prefix(program, length=120):
     # Start mid-stream (like a post-loss segment): skip the entry prefix.
     offset = min(len(truth) // 3, 50)
     window = truth[offset : offset + length]
-    steps = []
-    for qname, bci in window:
+    sequence = []
+    for index, (qname, bci) in enumerate(window):
         class_name, method_name = qname.rsplit(".", 1)
         inst = program.method(class_name, method_name).code[bci]
         taken = None
-        from repro.jvm.opcodes import Kind, info
+        if info(inst.op).kind is Kind.COND and index + 1 < len(window):
+            # The taken bit, from the next executed node.
+            following = window[index + 1]
+            taken = following[1] == inst.target and following[0] == qname
+        sequence.append((inst.op, taken))
+    return sequence, window
 
-        if info(inst.op).kind is Kind.COND:
-            # Recompute the taken bit from the successor in truth.
-            taken = None  # assigned below from the next node
-        steps.append([inst.op, taken, (qname, bci)])
-    # Fill taken bits using the next executed node.
-    for i in range(len(window) - 1):
-        qname, bci = window[i]
-        class_name, method_name = qname.rsplit(".", 1)
-        inst = program.method(class_name, method_name).code[bci]
-        from repro.jvm.opcodes import Kind, info
 
-        if info(inst.op).kind is Kind.COND:
-            steps[i][1] = window[i + 1][1] == inst.target and window[i + 1][0] == qname
-    return [
-        (op, taken) for op, taken, _loc in steps
-    ], window
+def _columns(sequence):
+    """``project_arrays`` arguments for a whole (op, taken) sequence."""
+    return (
+        [op for op, _taken in sequence],
+        [taken for _op, taken in sequence],
+        [None] * len(sequence),
+        0,
+        len(sequence),
+    )
 
 
 def _count_abstract_survivors(nfa, sequence):
@@ -111,12 +111,9 @@ def test_ablation_reconstruction_algorithms(benchmark):
             time2 = time.perf_counter() - started
 
             projector = Projector(nfa, context_sensitive=False)
-            steps = [
-                ObservedStep(symbol=op, taken=taken, location=None, source="interp", tsc=0)
-                for op, taken in sequence
-            ]
+            columns = _columns(sequence)
             started = time.perf_counter()
-            projection = projector.project(steps)
+            projection = projector.project_arrays(*columns)
             time3 = time.perf_counter() - started
 
             # Agreement: all three find a full match of the same length.
@@ -142,19 +139,12 @@ def test_ablation_reconstruction_algorithms(benchmark):
                 )
             )
 
-    def kernel():
-        # Benchmark the production projector on the largest instance.
-        program = generate_program(9999, configs[-1])
-        nfa = ProgramNFA(ICFG(program))
-        sequence, _ = _observed_prefix(program, length=200)
-        projector = Projector(nfa)
-        steps = [
-            ObservedStep(symbol=op, taken=taken, location=None, source="interp", tsc=0)
-            for op, taken in sequence
-        ]
-        return projector.project(steps).stats.matched
-
-    benchmark(kernel)
+    # Benchmark the production projector on the largest instance.
+    program = generate_program(9999, configs[-1])
+    sequence, _ = _observed_prefix(program, length=200)
+    projector = Projector(ProgramNFA(ICFG(program)))
+    columns = _columns(sequence)
+    benchmark(lambda: projector.project_arrays(*columns).stats.matched)
 
     print_table(
         "Ablation A: reconstruction matchers (times in seconds)",
