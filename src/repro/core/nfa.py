@@ -69,26 +69,24 @@ class ProgramNFA:
         self.op_of: List[Op] = [icfg.instruction(node).op for node in self.nodes]
         self.kind_of: List[Kind] = [info(op).kind for op in self.op_of]
         self.tier_of: List[int] = [tier(op) for op in self.op_of]
-        # Full successor relation (ints), with the ICFG edge kind and the
-        # stable :class:`repro.jvm.icfg.IEdge` id kept in parallel (the
-        # context-sensitive projector needs the kind; the observability
-        # classifier keys its per-edge verdicts by the id).
+        # Full successor relation (ints), with the stable
+        # :class:`repro.jvm.icfg.IEdge` ids kept in parallel and the
+        # edge-kind codes flat in adjacency order (the context-sensitive
+        # projector needs the kind; see :meth:`_build_columns`).
         self.successors: List[List[int]] = []
-        self.successor_kinds: List[List["IEdgeKind"]] = []
         self.successor_edge_ids: List[List[int]] = []
+        self.succ_kind = array("b")
         # For conditionals: (fallthrough_state, taken_state).
         self.cond_arms: List[Optional[Tuple[Optional[int], Optional[int]]]] = []
         for state, node in enumerate(self.nodes):
             succ = []
-            kinds = []
             edge_ids = []
             for edge in icfg.out_edges(node):
                 if edge.dst in self.state_of:
                     succ.append(self.state_of[edge.dst])
-                    kinds.append(edge.kind)
+                    self.succ_kind.append(_EDGE_CODE[edge.kind])
                     edge_ids.append(edge.edge_id)
             self.successors.append(succ)
-            self.successor_kinds.append(kinds)
             self.successor_edge_ids.append(edge_ids)
             if self.kind_of[state] is Kind.COND:
                 inst = icfg.instruction(node)
@@ -118,7 +116,8 @@ class ProgramNFA:
         Layout (CSR): state ``q``'s successors occupy positions
         ``succ_off[q]:succ_off[q+1]`` of the parallel columns
         ``succ_state`` (destination state), ``succ_kind`` (edge-kind code,
-        see :data:`EDGE_KINDS`) and ``succ_edge`` (stable ICFG edge id).
+        see :data:`EDGE_KINDS`; filled with the successor lists) and
+        ``succ_edge`` (stable ICFG edge id).
         ``cond_fall``/``cond_taken`` carry the two arms of conditional
         states (-1 when absent / not a conditional), ``return_site``
         the ``call_bci + 1`` state pushed on calls (-1 when absent),
@@ -126,26 +125,19 @@ class ProgramNFA:
         ``op_code`` the opcode ordinal of each state's instruction.  The
         columns are plain ``array`` objects so a later numpy or
         C-extension backend can adopt the same layout without any API
-        change; the object-level ``successors``/``cond_arms`` views built
-        above stay authoritative for the legacy matchers.
+        change.  The projector reads only these columns; the object-level
+        ``successors``/``cond_arms`` views serve :meth:`step` and the
+        abstraction closure.
         """
         count = len(self.nodes)
         self.succ_off = array("q", [0] * (count + 1))
         succ_state = array("q")
-        succ_kind = array("b")
         succ_edge = array("q")
         for state in range(count):
-            for dst, kind, edge_id in zip(
-                self.successors[state],
-                self.successor_kinds[state],
-                self.successor_edge_ids[state],
-            ):
-                succ_state.append(dst)
-                succ_kind.append(_EDGE_CODE[kind])
-                succ_edge.append(edge_id)
+            succ_state.extend(self.successors[state])
+            succ_edge.extend(self.successor_edge_ids[state])
             self.succ_off[state + 1] = len(succ_state)
         self.succ_state = succ_state
-        self.succ_kind = succ_kind
         self.succ_edge = succ_edge
         self.cond_fall = array("q", [-1] * count)
         self.cond_taken = array("q", [-1] * count)
@@ -154,11 +146,9 @@ class ProgramNFA:
                 fall, taken = arms
                 self.cond_fall[state] = -1 if fall is None else fall
                 self.cond_taken[state] = -1 if taken is None else taken
-        self.return_site = array("q", [-1] * count)
-        for state in range(count):
-            site = self.return_site_of_call(state)
-            if site is not None:
-                self.return_site[state] = site
+        self.return_site = array(
+            "q", [self.state_of.get((qname, bci + 1), -1) for qname, bci in self.nodes]
+        )
         # 1 for throw states whose own method has a handler covering them:
         # the exception is caught without leaving the method (the ICFG's
         # only THROW edge then targets that handler), so no frame unwinds.
@@ -170,11 +160,10 @@ class ProgramNFA:
             ):
                 self.catches_locally[state] = 1
         self.op_code = array("q", [int(op) for op in self.op_of])
-        # Transition memo for the columnar projector: (state, taken_code,
-        # op_code) -> tuple of (succ, kind_code), in adjacency order --
-        # exactly what :meth:`step_edges` would yield, pre-filtered by the
-        # wanted symbol.  Filled lazily by the projector; sharing it on
-        # the NFA lets every Projector over this program reuse entries.
+        # Transition memo for the projector: (state, taken_code, op_code)
+        # -> what :meth:`transitions` returns for that triple.  Filled
+        # lazily by the projector; sharing it on the NFA lets every
+        # Projector over this program reuse entries.
         self.transition_memo: Dict[Tuple[int, int, int], Tuple[Tuple[int, int], ...]] = {}
 
     # ---------------------------------------------------------------- queries
@@ -200,35 +189,19 @@ class ProgramNFA:
             return () if arm is None else (arm,)
         return self.successors[state]
 
-    def step_edges(
-        self, state: int, taken: Optional[bool]
-    ) -> Iterable[Tuple[int, "IEdgeKind"]]:
-        """Like :meth:`step`, but with each successor's ICFG edge kind."""
-        from ..jvm.icfg import IEdgeKind
-
-        arms = self.cond_arms[state]
-        if arms is not None and taken is not None:
-            arm = arms[1] if taken else arms[0]
-            return () if arm is None else ((arm, IEdgeKind.INTRA),)
-        return zip(self.successors[state], self.successor_kinds[state])
-
-    def return_site_of_call(self, call_state: int) -> Optional[int]:
-        """The state of ``call_bci + 1`` in the caller (pushed on calls)."""
-        qname, bci = self.nodes[call_state]
-        return self.state_of.get((qname, bci + 1))
-
     def transitions(
         self, state: int, tcode: int, opcode: int
     ) -> Tuple[Tuple[int, int], ...]:
-        """Memoized integer form of :meth:`step_edges` + symbol filter.
+        """The NFA transition from *state* on one observed symbol (memoized).
 
         Returns ``(succ_state, edge_kind_code)`` pairs, in adjacency
         order, for successors of *state* whose instruction's opcode
         ordinal is *opcode*, after pruning conditionals by *tcode* (a
         :data:`TAKEN_NONE`/:data:`TAKEN_FALSE`/:data:`TAKEN_TRUE` code
-        for the TNT outcome of *state*'s instruction).  This is the
-        columnar projector's inner loop: the memo turns the per-step
-        edge scan into one dict hit per (state, outcome, symbol) triple.
+        for the TNT outcome of *state*'s instruction): a known outcome
+        leaves only the matching arm, as an INTRA edge.  This is the
+        projector's inner loop: the memo turns the per-step edge scan
+        into one dict hit per (state, outcome, symbol) triple.
         """
         key = (state, tcode, opcode)
         hit = self.transition_memo.get(key)
