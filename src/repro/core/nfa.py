@@ -69,25 +69,20 @@ class ProgramNFA:
         self.op_of: List[Op] = [icfg.instruction(node).op for node in self.nodes]
         self.kind_of: List[Kind] = [info(op).kind for op in self.op_of]
         self.tier_of: List[int] = [tier(op) for op in self.op_of]
-        # Full successor relation (ints), with the stable
-        # :class:`repro.jvm.icfg.IEdge` ids kept in parallel and the
-        # edge-kind codes flat in adjacency order (the context-sensitive
-        # projector needs the kind; see :meth:`_build_columns`).
+        # Full successor relation (ints), with the edge-kind codes flat
+        # in adjacency order (the context-sensitive projector needs the
+        # kind; see :meth:`_build_columns`).
         self.successors: List[List[int]] = []
-        self.successor_edge_ids: List[List[int]] = []
         self.succ_kind = array("b")
         # For conditionals: (fallthrough_state, taken_state).
         self.cond_arms: List[Optional[Tuple[Optional[int], Optional[int]]]] = []
         for state, node in enumerate(self.nodes):
             succ = []
-            edge_ids = []
             for edge in icfg.out_edges(node):
                 if edge.dst in self.state_of:
                     succ.append(self.state_of[edge.dst])
                     self.succ_kind.append(_EDGE_CODE[edge.kind])
-                    edge_ids.append(edge.edge_id)
             self.successors.append(succ)
-            self.successor_edge_ids.append(edge_ids)
             if self.kind_of[state] is Kind.COND:
                 inst = icfg.instruction(node)
                 qname = node[0]
@@ -115,9 +110,8 @@ class ProgramNFA:
 
         Layout (CSR): state ``q``'s successors occupy positions
         ``succ_off[q]:succ_off[q+1]`` of the parallel columns
-        ``succ_state`` (destination state), ``succ_kind`` (edge-kind code,
-        see :data:`EDGE_KINDS`; filled with the successor lists) and
-        ``succ_edge`` (stable ICFG edge id).
+        ``succ_state`` (destination state) and ``succ_kind`` (edge-kind
+        code, see :data:`EDGE_KINDS`; filled with the successor lists).
         ``cond_fall``/``cond_taken`` carry the two arms of conditional
         states (-1 when absent / not a conditional), ``return_site``
         the ``call_bci + 1`` state pushed on calls (-1 when absent),
@@ -132,13 +126,10 @@ class ProgramNFA:
         count = len(self.nodes)
         self.succ_off = array("q", [0] * (count + 1))
         succ_state = array("q")
-        succ_edge = array("q")
         for state in range(count):
             succ_state.extend(self.successors[state])
-            succ_edge.extend(self.successor_edge_ids[state])
             self.succ_off[state + 1] = len(succ_state)
         self.succ_state = succ_state
-        self.succ_edge = succ_edge
         self.cond_fall = array("q", [-1] * count)
         self.cond_taken = array("q", [-1] * count)
         for state, arms in enumerate(self.cond_arms):
