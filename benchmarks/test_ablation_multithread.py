@@ -14,7 +14,7 @@ import time
 from conftest import lossless_pt, print_table
 
 from repro.core import JPortal
-from repro.core.parallel import ParallelPipeline, ideal_makespan
+from repro.core.parallel import ideal_makespan
 from repro.profiling.accuracy import run_accuracy
 from repro.workloads import build_subject, default_config
 
@@ -83,9 +83,8 @@ def test_ablation_parallel_decode_workers(benchmark):
         blobs = []
         for workers in WORKER_COUNTS:
             jportal = JPortal(subject.program)
-            pipeline = ParallelPipeline(jportal, max_workers=workers)
             started = time.perf_counter()
-            result = pipeline.analyze_run(run, lossless_pt())
+            result = jportal.analyze_run(run, lossless_pt(), max_workers=workers)
             wall = time.perf_counter() - started
             per_thread = result.timings.per_thread
             if durations is None:

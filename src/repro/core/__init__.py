@@ -24,11 +24,10 @@ from .metrics import MetricsRegistry
 from .multicore import ThreadTrace, split_by_thread
 from .nfa import DFA, NFA, ProgramNFA, abstract_method_nfa, determinize, method_nfa
 from .observed import ObservedColumns, ObservedHole, ObservedStep
-from .parallel import ParallelPipeline, ideal_makespan
+from .parallel import ideal_makespan
 from .pipeline import (
     JPortal,
     JPortalResult,
-    ParallelismReport,
     PhaseTimings,
     ThreadFlow,
     ThreadPhaseTimings,
@@ -70,7 +69,6 @@ __all__ = [
     "CodeDump",
     "collect_metadata",
     "MetricsRegistry",
-    "ParallelPipeline",
     "ideal_makespan",
     "ThreadTrace",
     "split_by_thread",
@@ -85,7 +83,6 @@ __all__ = [
     "ObservedStep",
     "JPortal",
     "JPortalResult",
-    "ParallelismReport",
     "PhaseTimings",
     "ThreadFlow",
     "ThreadPhaseTimings",

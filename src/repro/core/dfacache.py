@@ -5,12 +5,11 @@ depends only on the program: :func:`repro.analysis.report.analyze_program`
 determinizes every method's NFA (subset construction, the Figure 5
 pipeline) for the ambiguity verdicts, classifies edge observability, and
 lints the bytecode.  For repeated analyses of the same program -- the
-normal profiling workflow, and every worker of the process-pool backend
--- that work is pure recomputation.  :class:`AnalysisCache` persists the
-finished :class:`~repro.analysis.report.AnalysisReport` on disk, keyed by
-a digest of the program's full disassembly plus the opaque-call-site set,
-so a warm build loads the determinized verdicts instead of rebuilding
-them.
+normal profiling workflow -- that work is pure recomputation.
+:class:`AnalysisCache` persists the finished
+:class:`~repro.analysis.report.AnalysisReport` on disk, keyed by a digest
+of the program's full disassembly plus the opaque-call-site set, so a
+warm build loads the determinized verdicts instead of rebuilding them.
 
 Durability follows the archive layer's salvage semantics
 (:mod:`repro.pt.archive`): cache damage must never take the pipeline
@@ -23,8 +22,8 @@ unpicklable body -- degrades to a cold build and publishes a
 degrade the same way (the run simply stays cold).
 
 Key stability: the digest hashes the program's deterministic textual
-disassembly, not Python object identities, so any two processes (or
-pool workers) analysing the same bytecode share one entry.
+disassembly, not Python object identities, so any two processes
+analysing the same bytecode share one entry.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Lightweight metrics registry for the offline pipeline.
 
 The offline side runs decode -> lift -> project -> recover once per
-thread, possibly on a worker pool (:mod:`repro.core.parallel`), so every
+thread, possibly on a thread pool (:mod:`repro.core.parallel`), so every
 phase needs to be observable without the phases knowing about each other:
 :class:`MetricsRegistry` is the shared sink.  It records three kinds of
 facts, each keyed by ``(name, tid)`` where ``tid`` is the analysed
@@ -16,8 +16,8 @@ thread (``None`` for process-global facts):
   gauge read reports the *current* state, not history.
 
 All mutation takes a single lock, so decoder/projector/recovery instances
-running concurrently on different threads of the *host* process can share
-one registry.  Reads with ``tid=None`` aggregate across all threads, so
+running concurrently on different threads can share one registry.  Reads
+with ``tid=None`` aggregate across all threads, so
 ``registry.counter("decode.anomalies")`` is the process-wide total while
 ``registry.counter("decode.anomalies", tid=3)`` is thread 3's share.
 """
@@ -83,8 +83,8 @@ class MetricsRegistry:
 
         States are gauges whose value is a label rather than a number
         -- e.g. ``stream.health`` is ``"healthy"``/``"degraded"``/
-        ``"quarantined"`` per tenant index.  They overwrite like gauges
-        and ship across process boundaries like every other fact.
+        ``"quarantined"`` per tenant index.  They overwrite like gauges,
+        also under :meth:`merge`.
         """
         with self._lock:
             self._states[(name, tid)] = str(value)
@@ -99,60 +99,30 @@ class MetricsRegistry:
             self.add_time(phase, time.perf_counter() - started, tid=tid)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s facts into this registry (for pooled workers)."""
-        self.absorb(other.export())
+        """Fold *other*'s facts into this registry.
 
-    # ------------------------------------------------------ process transport
-    def export(self) -> Dict[str, List[Tuple[str, Optional[int], float]]]:
-        """A picklable flat view of every recorded fact.
-
-        The registry itself holds a ``threading.Lock`` and therefore
-        cannot cross a process boundary; process-pool workers
-        (:mod:`repro.core.parallel`, ``backend="process"``) record into a
-        worker-local registry and ship ``export()`` back with each
-        result, which the parent folds in via :meth:`absorb`.
+        Counters and timings add, maxima keep the high-water mark, and
+        gauges and states take *other*'s value.  *other* is copied under
+        its own lock first, so two registries merging into each other
+        never hold both locks at once.
         """
+        with other._lock:
+            counters = dict(other._counters)
+            timings = dict(other._timings)
+            maxima = dict(other._maxima)
+            gauges = dict(other._gauges)
+            states = dict(other._states)
         with self._lock:
-            return {
-                "counters": [
-                    (name, tid, value)
-                    for (name, tid), value in self._counters.items()
-                ],
-                "timings": [
-                    (name, tid, value)
-                    for (name, tid), value in self._timings.items()
-                ],
-                "maxima": [
-                    (name, tid, value)
-                    for (name, tid), value in self._maxima.items()
-                ],
-                "gauges": [
-                    (name, tid, value)
-                    for (name, tid), value in self._gauges.items()
-                ],
-                "states": [
-                    (name, tid, value)
-                    for (name, tid), value in self._states.items()
-                ],
-            }
-
-    def absorb(self, data: Dict[str, List[Tuple[str, Optional[int], float]]]) -> None:
-        """Fold an :meth:`export` payload into this registry.
-
-        Counters and timings add; maxima take the high-water mark -- the
-        same semantics as :meth:`merge`, so serial, thread-pool, and
-        process-pool runs aggregate identically.
-        """
-        for name, tid, value in data.get("counters", ()):
-            self.incr(name, value, tid=tid)
-        for name, tid, value in data.get("timings", ()):
-            self.add_time(name, value, tid=tid)
-        for name, tid, value in data.get("maxima", ()):
-            self.observe_max(name, value, tid=tid)
-        for name, tid, value in data.get("gauges", ()):
-            self.set_gauge(name, value, tid=tid)
-        for name, tid, value in data.get("states", ()):
-            self.set_state(name, value, tid=tid)
+            for key, value in counters.items():
+                self._counters[key] = self._counters.get(key, 0) + value
+            for key, value in timings.items():
+                self._timings[key] = self._timings.get(key, 0.0) + value
+            for key, value in maxima.items():
+                current = self._maxima.get(key)
+                if current is None or value > current:
+                    self._maxima[key] = value
+            self._gauges.update(gauges)
+            self._states.update(states)
 
     # ----------------------------------------------------------------- reads
     def counter(self, name: str, tid: Optional[int] = None) -> int:

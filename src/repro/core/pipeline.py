@@ -40,6 +40,7 @@ from .metrics import MetricsRegistry
 from .multicore import ThreadTrace, split_by_thread
 from .nfa import Node, ProgramNFA
 from .observed import ObservedColumns
+from .parallel import make_executor
 from .reconstruct import MatchStats, Projector
 from .recovery import RecoveredFlow, RecoveryConfig, RecoveryEngine, RecoveryStats
 
@@ -117,39 +118,6 @@ class PhaseTimings:
 
 
 @dataclass
-class ParallelismReport:
-    """How well a pooled run's wall clock tracked its ideal schedule.
-
-    ``actual_speedup`` is what the chosen backend delivered
-    (sum-of-chain-seconds over measured wall clock); ``ideal_speedup`` is
-    what *workers* truly concurrent workers could have delivered (same
-    numerator over the LPT makespan of the measured chain durations).
-    A thread-pool run on CPU-bound chains shows ``actual_speedup`` near
-    1.0 under the GIL while ``ideal_speedup`` reports the headroom; the
-    process backend is the one expected to close that gap.
-    """
-
-    backend: str
-    workers: int
-    chain_seconds: float
-    wall_seconds: float
-    ideal_makespan_seconds: float
-    critical_path_seconds: float
-
-    @property
-    def actual_speedup(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return 1.0
-        return self.chain_seconds / self.wall_seconds
-
-    @property
-    def ideal_speedup(self) -> float:
-        if self.ideal_makespan_seconds <= 0.0:
-            return 1.0
-        return self.chain_seconds / self.ideal_makespan_seconds
-
-
-@dataclass
 class JPortalResult:
     """Output of one analysis."""
 
@@ -172,10 +140,6 @@ class JPortalResult:
     #: when the trace came from :meth:`JPortal.analyze_archive`; ``None``
     #: for in-memory analyses.
     salvage: Optional[object] = None
-    #: Actual-vs-ideal speedup for the backend that ran the per-thread
-    #: chains (:class:`ParallelismReport`); ``None`` for plain serial
-    #: runs that never went through :class:`~repro.core.parallel.ParallelPipeline`.
-    parallelism: Optional[ParallelismReport] = None
 
     @property
     def loss_fraction(self) -> float:
@@ -264,46 +228,48 @@ class JPortal:
         run: RunResult,
         pt_config: Optional[PTConfig] = None,
         max_workers: int = 1,
-        backend: str = "thread",
     ) -> JPortalResult:
         """Collect a trace from *run* (any frontend) and analyse it."""
         trace = collect(run, pt_config)
         database = collect_metadata(run)
-        return self.analyze_trace(
-            trace, database, max_workers=max_workers, backend=backend
-        )
+        return self.analyze_trace(trace, database, max_workers=max_workers)
 
     def analyze_trace(
         self,
         trace: PTTrace,
         database: CodeDatabase,
         max_workers: int = 1,
-        backend: str = "thread",
     ) -> JPortalResult:
         """Analyse an already collected trace against exported metadata.
 
-        ``max_workers=1`` (the default) runs the per-thread chains
-        serially; any other value delegates to
-        :class:`repro.core.parallel.ParallelPipeline` on the given
-        *backend* (``"thread"`` or ``"process"``), which produces
-        identical flows (threads are analysed independently either way).
+        Each thread's decode -> project -> recover chain is independent
+        of every other thread's.  ``max_workers=1`` (the default) runs
+        the chains in a loop; a larger value runs them on a thread pool
+        (:func:`~repro.core.parallel.make_executor`) of at most one
+        worker per thread.  Flows are merged in ascending tid order
+        either way, so every worker count gives identical results.
         """
-        if max_workers != 1:
-            from .parallel import ParallelPipeline
-
-            pipeline = ParallelPipeline(
-                self, max_workers=max_workers, backend=backend
-            )
-            return pipeline.analyze_trace(trace, database)
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1, got %r" % (max_workers,))
         metrics = MetricsRegistry()
         wall_started = time.perf_counter()
         with metrics.timer("split"):
             per_thread = split_by_thread(trace)
-        flows: Dict[int, ThreadFlow] = {}
-        for tid in sorted(per_thread):
-            flows[tid] = self._analyze_thread_safe(
+        tids = sorted(per_thread)
+
+        def chain(tid: int) -> ThreadFlow:
+            return self._analyze_thread_safe(
                 tid, per_thread[tid], database, metrics
             )
+
+        workers = min(max_workers, len(tids))
+        if workers > 1:
+            # map() yields in submission (ascending tid) order, not
+            # completion order, and reads every future's result.
+            with make_executor(workers) as pool:
+                flows = dict(zip(tids, pool.map(chain, tids)))
+        else:
+            flows = dict(zip(tids, map(chain, tids)))
         return self._finish(trace, database, flows, metrics, wall_started)
 
     def analyze_archive(
@@ -311,14 +277,12 @@ class JPortal:
         path,
         database: Optional[CodeDatabase] = None,
         max_workers: int = 1,
-        backend: str = "thread",
         snapshot_path=None,
     ) -> JPortalResult:
         """Salvage-read a durable ``RPT2`` (or legacy ``RPT1``) archive
         from disk and analyse whatever survived.
 
-        Disk damage never raises (unless the policy sets
-        ``archive_strict``): corrupt segments become synthetic loss
+        Disk damage never raises: corrupt segments become synthetic loss
         records handed to hole recovery, and every salvage event is
         folded into ``anomalies_by_kind`` (``archive.anomaly.*``
         counters) alongside the decode-level anomalies.  The full
@@ -327,20 +291,15 @@ class JPortal:
 
         *database* overrides the archive's metadata snapshot + journal
         (e.g. when the sidecar is lost but metadata was exported through
-        another channel).
+        another channel).  *max_workers* is passed to
+        :meth:`analyze_trace`.
         """
         from ..pt.archive import read_archive
 
-        contents = read_archive(
-            path,
-            snapshot_path=snapshot_path,
-            strict=self.degradation_policy.archive_strict,
-        )
+        contents = read_archive(path, snapshot_path=snapshot_path)
         salvaged_db = database if database is not None else contents.database_or_empty()
         trace = contents.to_trace()
-        result = self.analyze_trace(
-            trace, salvaged_db, max_workers=max_workers, backend=backend
-        )
+        result = self.analyze_trace(trace, salvaged_db, max_workers=max_workers)
         self._attach_salvage(result, contents.stats)
         return result
 

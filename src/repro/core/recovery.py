@@ -152,8 +152,8 @@ class _Pairs(dict):
     """entry -> the shared ``(entry, provenance)`` pair of one provenance.
 
     An entry outside the table gets a fresh pair that is not stored: the
-    table is never written after construction, because concurrent
-    chains on the thread backend share one engine.
+    table is never written after construction, because the per-thread
+    chains of a pooled ``analyze_trace`` share one engine.
     """
 
     def __init__(self, entries: Iterable[Entry], provenance: str):

@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.metrics import MetricsRegistry
 from ..core.multicore import split_windows, switch_timelines
 from ..core.observed import ObservedColumns
-from ..core.parallel import BACKENDS, make_executor
+from ..core.parallel import make_executor
 from ..pt.archive import (
     REC_CODE_DUMP,
     REC_FORMAT,
@@ -222,13 +222,14 @@ class StreamDecoder:
         delta.latency_seconds = time.perf_counter() - started
         return delta
 
-    def finalize(self, max_workers: int = 1, backend: str = "thread"):
+    def finalize(self, max_workers: int = 1):
         """Declare the archive done; return the terminal result.
 
         Bit-identical to ``jportal.analyze_archive(path, ...)`` on the
         same final file: directly so on the replay path, and by
         construction (same reassembly order, same decoders, same
         projection/recovery code path) on the incremental fast path.
+        *max_workers* is passed to the replay's ``analyze_archive``.
         """
         if self._finalized is not None:
             return self._finalized
@@ -277,7 +278,6 @@ class StreamDecoder:
             self._finalized = self.jportal.analyze_archive(
                 self.reader.path,
                 max_workers=max_workers,
-                backend=backend,
                 snapshot_path=self.reader.snapshot_path,
             )
             return self._finalized
@@ -311,7 +311,6 @@ class StreamDecoder:
             result = self.jportal.analyze_archive(
                 self.reader.path,
                 max_workers=max_workers,
-                backend=backend,
                 snapshot_path=self.reader.snapshot_path,
             )
         self._finalized = result
@@ -695,11 +694,9 @@ class StreamSupervisor:
     onto a shared thread pool (:func:`repro.core.parallel.make_executor`)
     and joins deterministically in tenant-name order; per-tenant
     ``stream.*`` metrics land in :attr:`metrics` keyed by tenant index.
-    *backend* (``"thread"`` or ``"process"``, the
-    :data:`~repro.core.parallel.BACKENDS` pair) and *max_workers* are
-    applied where per-thread analysis fans out -- the batch-replay path
-    of ``finalize()`` -- since live incremental decoder state is
-    host-memory-resident and shards on the thread pool.
+    *max_workers* sizes that pool (``None``: one worker per tenant, at
+    most one per host CPU) and is also the per-thread fan-out of the
+    batch-replay path of ``finalize()`` (``None`` runs it serially).
 
     Supervision is fault-isolated per tenant (see
     :mod:`repro.stream.resilience`): a poll that reports a failure puts
@@ -717,16 +714,10 @@ class StreamSupervisor:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        backend: str = "thread",
         resilience: Optional[ResilienceConfig] = None,
         clock=time.monotonic,
     ):
-        if backend not in BACKENDS:
-            raise ValueError(
-                "backend must be one of %r, got %r" % (BACKENDS, backend)
-            )
         self.max_workers = max_workers
-        self.backend = backend
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.clock = clock
         self.metrics = MetricsRegistry()
@@ -881,12 +872,9 @@ class StreamSupervisor:
             return tenant.jportal.analyze_archive(
                 tenant.reader.path,
                 max_workers=self.max_workers or 1,
-                backend=self.backend,
                 snapshot_path=tenant.reader.snapshot_path,
             )
-        result = tenant.finalize(
-            max_workers=self.max_workers or 1, backend=self.backend
-        )
+        result = tenant.finalize(max_workers=self.max_workers or 1)
         if tenant.replayed:
             self.metrics.incr("stream.finalize_replays", tid=index)
         return result

@@ -175,16 +175,10 @@ class DegradationPolicy:
             (a hole with ``synthetic=True``): the damaged span is handed
             to the recovery engine rather than trusted.
             ``None`` disables the budget.
-        archive_strict: When reading an on-disk archive
-            (:func:`repro.pt.archive.read_archive`), raise on the first
-            salvage event instead of degrading.  The default mirrors the
-            decode contract: damage becomes loss records and anomaly
-            counters, never an exception.
     """
 
     resync: bool = True
     max_anomalies_per_segment: Optional[int] = 64
-    archive_strict: bool = False
 
 
 @dataclass

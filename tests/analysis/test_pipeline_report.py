@@ -3,7 +3,7 @@
 import subprocess
 import sys
 
-from repro.core import JPortal, ParallelPipeline
+from repro.core import JPortal
 from repro.workloads import SUBJECT_NAMES, build_subject, default_config
 
 from ..conftest import lossless_config
@@ -27,8 +27,8 @@ class TestReportOnResult:
 
     def test_parallel_result_carries_same_verdicts(self):
         jportal, serial = _analyse()
-        parallel = ParallelPipeline(jportal, max_workers=3).analyze_trace(
-            serial.trace, serial.database
+        parallel = jportal.analyze_trace(
+            serial.trace, serial.database, max_workers=3
         )
         assert parallel.analysis_report is not None
         assert (

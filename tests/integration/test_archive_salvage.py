@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import JPortal, ParallelPipeline
+from repro.core import JPortal
 from repro.core.metadata import collect_metadata
 from repro.jvm.jit import JITPolicy
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig
@@ -129,9 +129,9 @@ class TestArchiveContract:
 
     def test_parallel_archive_matches_serial(self, fixture):
         serial = fixture["jportal"].analyze_archive(fixture["path"])
-        parallel = ParallelPipeline(
-            fixture["jportal"], max_workers=4
-        ).analyze_archive(fixture["path"])
+        parallel = fixture["jportal"].analyze_archive(
+            fixture["path"], max_workers=4
+        )
         for tid, flow in serial.flows.items():
             assert parallel.flows[tid].flow.entries == flow.flow.entries, tid
 

@@ -11,8 +11,8 @@ the sorted ``anomalies_by_kind``, ``anomalies`` and ``synthetic_holes``.
 Three families of cases:
 
 * **figure2** -- the Figure 2 program run by three threads on two cores,
-  collected lossless (PT and E-Trace) and lossy (PT), each analysed on
-  the serial, thread-pool and process-pool backends;
+  collected lossless (PT and E-Trace) and lossy (PT), each analysed
+  serially and on a three-worker thread pool;
 * **fuzz** -- 200 seeded fault-injected variants of the lossy PT trace
   (``FaultInjector(3_000_000 + seed)``, with a corrupted database on
   every fifth seed);
@@ -37,7 +37,7 @@ from typing import Dict, List
 
 import pytest
 
-from repro.core import JPortal, ParallelPipeline
+from repro.core import JPortal
 from repro.core.metadata import collect_metadata
 from repro.core.recovery import RecoveryConfig
 from repro.jvm.jit import JITPolicy
@@ -55,7 +55,6 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_decode.json")
 FIGURE2_CASES = ("pt-lossless", "pt-lossy", "etrace-lossless")
 FUZZ_SEEDS = 200
 FRONTENDS = ("pt", "etrace")
-BACKENDS = ("serial", "thread", "process")
 
 
 def digest(result) -> str:
@@ -111,14 +110,6 @@ def fuzz_case(seed: int, trace, database):
     if seed % 5 == 0:
         database, _db_faults = injector.corrupt_database(database)
     return trace, database
-
-
-def analyze(jportal, trace, database, backend: str = "serial"):
-    if backend == "serial":
-        return jportal.analyze_trace(trace, database)
-    return ParallelPipeline(
-        jportal, max_workers=3, backend=backend
-    ).analyze_trace(trace, database)
 
 
 def fuzz_digests(jportal, trace, database) -> List[str]:
@@ -180,14 +171,11 @@ def figure2():
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("max_workers", (1, 3), ids=("serial", "thread"))
 @pytest.mark.parametrize("case", FIGURE2_CASES)
-def test_figure2_matches_golden(figure2, case, backend):
-    result = analyze(
-        figure2["jportal"],
-        figure2["traces"][case],
-        figure2["database"],
-        backend,
+def test_figure2_matches_golden(figure2, case, max_workers):
+    result = figure2["jportal"].analyze_trace(
+        figure2["traces"][case], figure2["database"], max_workers=max_workers
     )
     assert digest(result) == _golden()["figure2"][case]
 
@@ -207,12 +195,11 @@ def test_subject_matches_golden(name):
     assert subject_digests(name) == _golden()["subjects"][name]
 
 
-class TestFuzzedBackendIdentity:
+class TestFuzzedPoolIdentity:
     """Pooled output equals serial output on fuzzed traces the golden
     does not cover (a different seed family)."""
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_backends_match_serial(self, figure2, backend):
+    def test_pool_matches_serial(self, figure2):
         jportal = figure2["jportal"]
         database = figure2["database"]
         for seed in (0, 7):
@@ -220,8 +207,8 @@ class TestFuzzedBackendIdentity:
             trace, _faults = injector.mutate_trace(
                 figure2["traces"]["pt-lossy"], faults_per_core=2
             )
-            serial = analyze(jportal, trace, database)
-            pooled = analyze(jportal, trace, database, backend)
+            serial = jportal.analyze_trace(trace, database)
+            pooled = jportal.analyze_trace(trace, database, max_workers=3)
             assert digest(pooled) == digest(serial), "seed=%d" % seed
 
 

@@ -19,7 +19,7 @@ import pickle
 
 import pytest
 
-from repro.core import JPortal, ParallelPipeline
+from repro.core import JPortal
 from repro.core.metadata import collect_metadata
 from repro.core.multicore import split_by_thread
 from repro.jvm.jit import JITPolicy
@@ -148,9 +148,7 @@ class TestPipelineFuzz:
         jportal = fixture["jportal"]
         note = "seed=%d faults=%r" % (seed, [f.kind for f in faults])
         serial = jportal.analyze_trace(trace, database)
-        parallel = ParallelPipeline(jportal, max_workers=3).analyze_trace(
-            trace, database
-        )
+        parallel = jportal.analyze_trace(trace, database, max_workers=3)
         assert pickle.dumps(parallel.flows) == pickle.dumps(serial.flows), note
         assert parallel.anomalies == serial.anomalies, note
         assert parallel.anomalies_by_kind == serial.anomalies_by_kind, note
@@ -274,8 +272,8 @@ class TestFaultSmoke:
             serial = fixture["jportal"].analyze_trace(
                 trace, fixture["database"]
             )
-            parallel = ParallelPipeline(
-                fixture["jportal"], max_workers=3
-            ).analyze_trace(trace, fixture["database"])
+            parallel = fixture["jportal"].analyze_trace(
+                trace, fixture["database"], max_workers=3
+            )
             assert pickle.dumps(parallel.flows) == pickle.dumps(serial.flows)
             _pipeline_invariants(serial, "smoke seed=%d" % seed)

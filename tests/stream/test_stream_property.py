@@ -3,7 +3,7 @@
 The correctness contract of :mod:`repro.stream` is bit-identity with the
 batch pipeline on the same final file.  200 seeded schedules vary the
 writer's pacing, the reader's poll cadence, the trace flavour (lossless
-vs calibrated-lossy), the finalize backend, and the crash point (clean
+vs calibrated-lossy), the finalize worker count, and the crash point (clean
 stop between records, torn mid-record stop, or a proper seal), and every
 one must finalize to exactly the batch result -- flows, anomaly
 taxonomy, synthetic holes, projection and recovery stats.
@@ -79,7 +79,7 @@ def _stream_one_seed(fixture, tmp_path, seed, batch_cache):
         simulator.crash()
     tenant.poll()
     if seed % 50 == 10:
-        streamed = tenant.finalize(max_workers=2, backend="process")
+        streamed = tenant.finalize(max_workers=2)
     else:
         streamed = tenant.finalize()
     final_bytes = open(path, "rb").read()
@@ -99,7 +99,7 @@ def _stream_one_seed(fixture, tmp_path, seed, batch_cache):
 
 
 class TestStreamProperty:
-    """200 seeds x (pacing, flavour, crash point, backend) identity."""
+    """200 seeds x (pacing, flavour, crash point, workers) identity."""
 
     def test_two_hundred_seeds_finalize_equals_batch(
         self, stream_fixture, tmp_path

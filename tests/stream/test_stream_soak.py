@@ -290,7 +290,7 @@ def _run_chaos_soak(
                 # the sidecars first.
                 supervisor.checkpoint_all()
                 supervisor.close()
-                aggregate.absorb(supervisor.metrics.export())
+                aggregate.merge(supervisor.metrics)
                 supervisor = StreamSupervisor(
                     max_workers=4, resilience=resilience
                 )
@@ -307,7 +307,7 @@ def _run_chaos_soak(
                     resumes += 1
 
         results = supervisor.finalize_all()  # must never raise either
-        aggregate.absorb(supervisor.metrics.export())
+        aggregate.merge(supervisor.metrics)
     finally:
         supervisor.close()
 
