@@ -14,7 +14,11 @@ Three matchers are provided:
 
   - TNT-guided determinisation of conditionals,
   - JIT debug-info locations as *anchors* (observed steps whose position
-    is already known pin the frontier to one state),
+    is already known pin the frontier to one state); from a one-key
+    frontier a located step after an unknown TNT bit is decided by one
+    lookup of its node in ``ProgramNFA.succ_by_node``, and only
+    unlocated steps and the located steps that lookup refuses search
+    the memoized transitions,
   - the callback-search fallback for call sites missing from the static
     ICFG (reflection; Section 4 "Discussions"),
   - greedy restart on mismatch (each restart is a reconstruction
@@ -168,8 +172,15 @@ class Projector:
         :class:`~repro.core.observed.ObservedColumns`).  Each run is a
         subset simulation from every candidate start of its first step:
         the anchor's state, or every state carrying the symbol (preferring
-        states outside statically ambiguous methods).  Steps go through
-        the :meth:`ProgramNFA.transitions` integer tables and transition
+        states outside statically ambiguous methods).  From a one-key
+        frontier, a located step whose previous TNT bit is unknown is
+        decided by one lookup of its location in
+        :attr:`ProgramNFA.succ_by_node`: the edge is taken when the node
+        is a successor carrying the step's symbol and, for a CALL,
+        RETURN or THROW edge, :meth:`_frame_rule` accepts.  Every other
+        step (unlocated, after a known TNT bit, refused by that lookup,
+        or from a wider frontier) goes through the
+        :meth:`ProgramNFA.transitions` integer tables and transition
         memo.  Parent-pointer frontiers are kept only while the frontier
         holds more than one key, because a one-key frontier fixes every
         earlier step; a run that ends on a wider frontier is backtracked
@@ -182,6 +193,8 @@ class Projector:
         """
         nfa = self.nfa
         state_of = nfa.state_of
+        succ_by_node = nfa.succ_by_node
+        op_of = nfa.op_of
         memo = nfa.transition_memo
         transitions = nfa.transitions
         frame_rule = self._frame_rule
@@ -212,13 +225,15 @@ class Projector:
                 continue
             # Commit on collapse: ``run`` holds the states of the steps
             # whose assignment is already fixed.  While the frontier is
-            # the one key ``(state, stack)``, a step with a single
-            # surviving transition is taken inline.  Everything else goes
-            # through the general step, and frontiers wider than one key
-            # are kept in ``window`` (the steps after the last fixed one)
-            # until a step collapses back to one key.  Every parent
-            # pointer route from a later step passes through that key, so
-            # the window is backtracked then and dropped.
+            # the one key ``(state, stack)``, a located step after an
+            # unknown TNT bit is decided by one lookup of its node, and
+            # any other step with a single surviving transition in the
+            # memo is taken inline.  Everything else goes through the
+            # general step, and frontiers wider than one key are kept in
+            # ``window`` (the steps after the last fixed one) until a
+            # step collapses back to one key.  Every parent pointer route
+            # from a later step passes through that key, so the window is
+            # backtracked then and dropped.
             run: List[int] = []
             window: List[Dict[Key, Optional[Key]]] = []
             if len(starts) == 1:
@@ -229,6 +244,34 @@ class Projector:
                 window.append({(state, ()): None for state in starts})
             cursor = position
             while cursor + 1 < hi:
+                if not window:
+                    # A successor node names exactly one edge, so a
+                    # located step is taken when its node is a successor
+                    # carrying its symbol and the frame rule agrees.  Any
+                    # other step (unlocated, after a known TNT bit, or
+                    # refused) goes on to the memo step below.
+                    ahead = cursor + 1
+                    while ahead < hi:
+                        location = locations[ahead]
+                        if location is None or takens[cursor] is not None:
+                            break
+                        edge = succ_by_node[state].get(location)
+                        if edge is None:
+                            break
+                        succ, kcode = edge
+                        if op_of[succ] is not symbols[ahead]:
+                            break
+                        if kcode != EDGE_INTRA:
+                            new_stack = frame_rule(state, stack, succ, kcode)
+                            if new_stack is None:
+                                break
+                            stack = new_stack
+                        state = succ
+                        run.append(succ)
+                        cursor = ahead
+                        ahead += 1
+                    if ahead == hi:
+                        break
                 taken = takens[cursor]
                 symbol = symbols[cursor + 1]
                 location = locations[cursor + 1]

@@ -1,10 +1,16 @@
 """Unit tests for the NFA formulation (Definitions 4.1-4.3, Figures 4-5)."""
 
 from repro.core.nfa import NFA, ProgramNFA, abstract_method_nfa, determinize, method_nfa
+from repro.core.reconstruct import Projector
 from repro.jvm.icfg import ICFG
 from repro.jvm.opcodes import Op, tier
+from repro.workloads import SUBJECT_NAMES, build_subject
+from repro.workloads.generator import GeneratorConfig, generate_program
 
 from ..conftest import build_figure2_program
+from .test_projection_golden import _call_bci, _interpreted_truth, _located
+from .test_reconstruct import _steps
+from .test_reconstruct_pda import _project
 
 
 class TestProgramNFA:
@@ -90,6 +96,48 @@ class TestProgramNFA:
     def test_tiers_recorded(self):
         for state in range(len(self.nfa)):
             assert self.nfa.tier_of[state] == tier(self.nfa.op_of[state])
+
+
+def _located_table_programs():
+    """``[(name, ICFG)]``: Figure 2 with and without its opaque call
+    site, the nine subjects, and four generated programs that throw."""
+    figure2 = build_figure2_program()
+    opaque = [("Test.main", _call_bci(figure2))]
+    throws = GeneratorConfig(throw_probability=0.5)
+    return (
+        [
+            ("figure2", ICFG(figure2)),
+            ("figure2-opaque", ICFG(figure2, opaque_call_sites=opaque)),
+        ]
+        + [(name, ICFG(build_subject(name).program)) for name in SUBJECT_NAMES]
+        + [
+            ("generated%d" % seed, ICFG(generate_program(seed, throws)))
+            for seed in (2, 9, 10, 28)
+        ]
+    )
+
+
+class TestLocatedSuccessorTable:
+    """``succ_by_node``: one lookup of a located step's node decides it."""
+
+    def test_each_successor_node_names_one_edge(self):
+        for name, icfg in _located_table_programs():
+            nfa = ProgramNFA(icfg)
+            for state, successors in enumerate(nfa.successors):
+                assert len(set(successors)) == len(successors), (name, state)
+                table = nfa.succ_by_node[state]
+                assert len(table) == len(successors), (name, state)
+                for index, succ in enumerate(successors):
+                    kind = nfa.succ_kind[nfa.succ_off[state] + index]
+                    assert table[nfa.node(succ)] == (succ, kind), (name, state)
+
+    def test_located_true_path_never_reaches_the_memo(self):
+        nfa = ProgramNFA(ICFG(build_figure2_program()))
+        truth = _interpreted_truth(build_figure2_program())
+        projection = _project(Projector(nfa), _steps(*_located(nfa, truth)))
+        assert projection.path == truth
+        assert projection.stats.restarts == 0
+        assert nfa.transition_memo == {}
 
 
 class TestGenericNFA:
