@@ -4,7 +4,11 @@
 recovered flow's ``(entry, provenance)`` pairs plus every
 :class:`~repro.core.recovery.RecoveryStats` counter except
 ``candidates_indexed`` (whose meaning depends on how the anchor index is
-built, not on what recovery decides).  Two families of cases:
+built, not on what recovery decides).  Under ``ranking`` it holds, for
+the same cases, a sha256 over every hole's full ranked candidate list
+``(-m3, -m2, -m1, segment, anchor_end)`` in rank order plus
+``candidates_indexed``: candidates that never fill a hole are pinned
+there and nowhere else.  Two families of cases:
 
 * **subjects** -- all nine DaCapo-style subjects at small sizes, traced
   through the ``BUFFER_128`` ring with the drain calibrated to 25% loss
@@ -27,7 +31,9 @@ import os
 import random
 import sys
 from dataclasses import asdict
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
+
+import pytest
 
 from repro.core import JPortal
 from repro.core.metadata import collect_metadata
@@ -72,9 +78,36 @@ def _digest(entries, stats) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def subject_digests() -> Dict[str, Dict[str, str]]:
-    """``{subject: {tid: digest}}`` of a lossy end-to-end analysis."""
-    digests = {}
+def _ranking_digest(ranked, stats) -> str:
+    payload = repr((ranked, stats.candidates_indexed))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class RankingRecorder(RecoveryEngine):
+    """A :class:`RecoveryEngine` that keeps, per ``recover()`` call (by
+    its *tid*), the ranked list ``_select_and_rank`` returns for each hole
+    it examines, empty lists included."""
+
+    def __init__(self, icfg: ICFG, config: Optional[RecoveryConfig] = None):
+        super().__init__(icfg, config)
+        self.ranked: Dict[Optional[int], List[list]] = {}
+        self._tid: Optional[int] = None
+
+    def recover(self, segments, holes, metrics=None, tid=None):
+        self._tid = tid
+        self.ranked[tid] = []
+        return super().recover(segments, holes, metrics=metrics, tid=tid)
+
+    def _select_and_rank(self, views, index, is_id, stats):
+        ranked = super()._select_and_rank(views, index, is_id, stats)
+        self.ranked[self._tid].append(list(ranked))
+        return ranked
+
+
+def subject_digests() -> Tuple[Dict[str, Dict[str, str]], Dict[str, Dict[str, str]]]:
+    """``{subject: {tid: digest}}`` of a lossy end-to-end analysis, for
+    the flows and for the rankings."""
+    digests, rankings = {}, {}
     for name in SUBJECT_NAMES:
         subject = build_subject(name, size=SUBJECT_SIZES[name])
         run = subject.run(default_config())
@@ -89,12 +122,18 @@ def subject_digests() -> Dict[str, Dict[str, str]]:
             subject.program,
             recovery=RecoveryConfig(cost_per_instruction=run.config.compiled_step_cost),
         )
+        recorder = RankingRecorder(jportal.icfg, jportal.recovery_config)
+        jportal.recovery_engine = recorder
         result = jportal.analyze_trace(trace, collect_metadata(run))
         digests[name] = {
             str(tid): _digest(flow.flow.entries, flow.flow.stats)
             for tid, flow in sorted(result.flows.items())
         }
-    return digests
+        rankings[name] = {
+            str(tid): _ranking_digest(recorder.ranked[tid], flow.flow.stats)
+            for tid, flow in sorted(result.flows.items())
+        }
+    return digests, rankings
 
 
 def synthetic_case(seed: int):
@@ -131,18 +170,27 @@ def synthetic_case(seed: int):
     return config, segments, holes
 
 
-def synthetic_digests() -> List[str]:
+def synthetic_digests() -> Tuple[List[str], List[str]]:
+    """One digest per seeded case, for the flows and for the rankings."""
     icfg = ICFG(build_figure2_program())
-    digests = []
+    digests, rankings = [], []
     for seed in range(SYNTHETIC_CASES):
         config, segments, holes = synthetic_case(seed)
-        flow = RecoveryEngine(icfg, config).recover(segments, holes)
+        recorder = RankingRecorder(icfg, config)
+        flow = recorder.recover(segments, holes)
         digests.append(_digest(flow.entries, flow.stats))
-    return digests
+        rankings.append(_ranking_digest(recorder.ranked[None], flow.stats))
+    return digests, rankings
 
 
 def compute_golden() -> Dict[str, object]:
-    return {"subjects": subject_digests(), "synthetic": synthetic_digests()}
+    subjects, subject_rankings = subject_digests()
+    synthetic, synthetic_rankings = synthetic_digests()
+    return {
+        "subjects": subjects,
+        "synthetic": synthetic,
+        "ranking": {"subjects": subject_rankings, "synthetic": synthetic_rankings},
+    }
 
 
 def _golden() -> Dict[str, object]:
@@ -150,16 +198,36 @@ def _golden() -> Dict[str, object]:
         return json.load(handle)
 
 
-def test_synthetic_recovery_matches_golden():
-    expected = _golden()["synthetic"]
-    actual = synthetic_digests()
+@pytest.fixture(scope="module")
+def synthetic():
+    return synthetic_digests()
+
+
+@pytest.fixture(scope="module")
+def subjects():
+    return subject_digests()
+
+
+def _assert_seeds_match(actual, expected):
     mismatched = [seed for seed, (a, b) in enumerate(zip(actual, expected)) if a != b]
     assert len(actual) == len(expected)
     assert not mismatched, "synthetic seeds changed: %s" % mismatched
 
 
-def test_subject_recovery_matches_golden():
-    assert subject_digests() == _golden()["subjects"]
+def test_synthetic_recovery_matches_golden(synthetic):
+    _assert_seeds_match(synthetic[0], _golden()["synthetic"])
+
+
+def test_subject_recovery_matches_golden(subjects):
+    assert subjects[0] == _golden()["subjects"]
+
+
+def test_synthetic_ranking_matches_golden(synthetic):
+    _assert_seeds_match(synthetic[1], _golden()["ranking"]["synthetic"])
+
+
+def test_subject_ranking_matches_golden(subjects):
+    assert subjects[1] == _golden()["ranking"]["subjects"]
 
 
 if __name__ == "__main__":
