@@ -16,9 +16,11 @@ fill the hole (Definition 5.1, Figure 6):
    that Theorem 5.5 licenses: a candidate whose tier-l common suffix is
    already shorter than the best-so-far cannot win concretely
    (Algorithm 4); :func:`basic_search` is the non-abstracted Algorithm 3
-   baseline.  Every suffix length comes from
-   :func:`~repro.core.abstraction.common_suffix_length` over bounded
-   views of the segments, so no comparison copies a prefix;
+   baseline.  The engine compares *code strings* -- one character per
+   entry, from a table built once per engine -- so each exit is decided
+   by a length bound or one C-level string compare of the best-so-far
+   length, and only surviving candidates get an exact length from
+   :func:`~repro.core.abstraction.common_suffix_length`;
 3. the top-N candidates are tried in rank order: instructions following
    the anchor in the CS are copied into the hole until ``y`` consecutive
    instructions match the IS's post-hole continuation; a timestamp budget
@@ -34,7 +36,8 @@ from bisect import bisect_right
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress, count
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..jvm.icfg import ICFG
@@ -44,6 +47,9 @@ from .observed import ObservedHole
 
 Node = Tuple[str, int]
 Entry = Optional[Node]  # a reconstructed step (None if projection failed)
+
+#: The code of ``None`` in a segment's code string (see :class:`_Codes`).
+_NONE_CODE = "\0"
 
 
 @dataclass
@@ -104,38 +110,63 @@ class RecoveredFlow:
         return [e for e, p in self.entries if p == "decoded"]
 
 
-class _SegmentView:
-    """A reconstructed segment plus, once it serves as an IS or a CS, its
-    per-tier abstract projections.
+class _Codes(dict):
+    """entry -> its one-character code in a segment's code string.
 
-    ``abstract()`` returns ``(positions1, symbols1, positions2,
-    symbols2)``: the positions (into ``entries``) of the tier <= 1 / tier
-    <= 2 entries and those entries themselves.  The tier-l abstraction of
-    the prefix ``entries[:end]`` is then ``symbolsL[:bisect(positionsL,
-    end - 1)]`` -- a cut, never a copy.  Built on first use only, so
-    segments no anchor occurrence points into cost nothing.
+    The engine's table (a plain dict built at construction) maps
+    ``None`` to ``"\\0"`` and every ICFG node to a character of its own,
+    so two code strings hold equal characters exactly where the segments
+    hold equal entries.  Each ``recover()`` call codes through a
+    ``_Codes`` copy of it, in which an entry outside the table gets the
+    next unused character on first sight: equal unknown entries share it
+    within the call, and distinct ones match neither each other, ``None``
+    nor a node.  The engine's table is never written, because the
+    per-thread chains of a pooled ``analyze_trace`` share one engine.
     """
 
-    __slots__ = ("entries", "_tiers", "_abstract")
+    def __missing__(self, entry: Entry) -> str:
+        code = self[entry] = chr(len(self))
+        return code
 
-    def __init__(self, entries: List[Entry], tiers: Tuple[FrozenSet[Node], FrozenSet[Node]]):
+
+class _SegmentView:
+    """A reconstructed segment, its code string, and, once it serves as
+    an IS or a CS, its per-tier abstract projections.
+
+    ``abstract`` is ``(positions1, codes1, positions2, codes2)``: the
+    positions (into ``entries``) of the tier <= 1 / tier <= 2 entries and
+    those entries' codes as a string.  The tier-l abstraction of the
+    prefix ``entries[:end + 1]`` is then ``codesL[:bisect_right(positionsL,
+    end)]`` -- a cut, never a copy.  Built on first use only, by
+    ``compress`` over ``map`` (no per-entry Python step), so segments no
+    anchor occurrence points into cost nothing; later reads are a plain
+    attribute lookup.
+    """
+
+    def __init__(
+        self,
+        entries: List[Entry],
+        code: str,
+        tiers: Tuple[FrozenSet[str], FrozenSet[str]],
+    ):
         self.entries = entries
-        self._tiers = tiers  # nodes of tier <= 1, nodes of tier <= 2
-        self._abstract: Optional[Tuple[List[int], List[Node], List[int], List[Node]]] = None
+        self.code = code
+        self._tiers = tiers  # codes of tier <= 1, codes of tier <= 2
 
-    def abstract(self) -> Tuple[List[int], List[Node], List[int], List[Node]]:
-        if self._abstract is None:
-            tier1, tier2 = self._tiers
-            entries = self.entries
-            positions2 = [p for p, entry in enumerate(entries) if entry in tier2]
-            positions1 = [p for p in positions2 if entries[p] in tier1]
-            self._abstract = (
-                positions1,
-                [entries[p] for p in positions1],
-                positions2,
-                [entries[p] for p in positions2],
-            )
-        return self._abstract
+    @cached_property
+    def abstract(self) -> Tuple[List[int], str, List[int], str]:
+        tier1, tier2 = self._tiers
+        code = self.code
+        keep2 = list(map(tier2.__contains__, code))
+        codes2 = "".join(compress(code, keep2))
+        keep1 = list(map(tier1.__contains__, codes2))
+        positions2 = list(compress(range(len(code)), keep2))
+        return (
+            list(compress(positions2, keep1)),
+            "".join(compress(codes2, keep1)),
+            positions2,
+            codes2,
+        )
 
 
 #: A ranked candidate CS: ``(-m3, -m2, -m1, segment, anchor_end)``, where
@@ -183,12 +214,15 @@ class RecoveryEngine:
     def __init__(self, icfg: ICFG, config: Optional[RecoveryConfig] = None):
         self.icfg = icfg
         self.config = config or RecoveryConfig()
-        # Nodes of tier <= 1 / <= 2; anything else (unknown nodes
-        # included) is concrete-only, tier 3.
         levels = {node: tier(icfg.instruction(node).op) for node in icfg.nodes()}
-        self._tiers: Tuple[FrozenSet[Node], FrozenSet[Node]] = (
-            frozenset(node for node, level in levels.items() if level <= 1),
-            frozenset(node for node, level in levels.items() if level <= 2),
+        # One character per ICFG node and None (see _Codes).
+        self._codes: Dict[Entry, str] = {None: _NONE_CODE}
+        self._codes.update((node, chr(code)) for code, node in enumerate(levels, 1))
+        # Codes of tier <= 1 / <= 2; anything else (unknown nodes
+        # included) is concrete-only, tier 3.
+        self._tiers: Tuple[FrozenSet[str], FrozenSet[str]] = (
+            frozenset(self._codes[node] for node, level in levels.items() if level <= 1),
+            frozenset(self._codes[node] for node, level in levels.items() if level <= 2),
         )
         # One shared (entry, provenance) pair per ICFG node and None: a
         # flow holds references, not a fresh tuple per entry, so labelling
@@ -235,7 +269,7 @@ class RecoveryEngine:
                 entries = self._pairs["decoded"].label(chain.from_iterable(segments))
             return RecoveredFlow(entries=entries, stats=stats)
         with timer("recovery.index", tid=tid):
-            views = [_SegmentView(segment, self._tiers) for segment in segments]
+            views = self._views(segments)
             index = self._build_anchor_index(views, len(holes), stats)
         entries: List[Tuple[Entry, str]] = []
         decoded = self._pairs["decoded"].__getitem__
@@ -264,46 +298,59 @@ class RecoveryEngine:
         return RecoveredFlow(entries=entries, stats=stats)
 
     # ----------------------------------------------------------- anchor index
-    def _anchor_of(self, view: _SegmentView) -> Optional[Tuple[Node, ...]]:
-        """The IS tail anchor of *view*, or ``None`` if it has none."""
+    def _views(self, segments: Sequence[List[Entry]]) -> List[_SegmentView]:
+        """One view per segment, coded through a per-call copy of the
+        engine's code table."""
+        code_of = _Codes(self._codes).__getitem__
+        return [
+            _SegmentView(segment, "".join(map(code_of, segment)), self._tiers)
+            for segment in segments
+        ]
+
+    def _anchor_of(self, view: _SegmentView) -> Optional[str]:
+        """The code of the IS tail anchor of *view*, or ``None`` if it has
+        none."""
         x = self.config.anchor_length
-        entries = view.entries
-        if len(entries) < x:
+        code = view.code
+        if len(code) < x:
             return None
-        anchor = tuple(entries[-x:])
-        return None if None in anchor else anchor
+        anchor = code[-x:]
+        return None if _NONE_CODE in anchor else anchor
 
     def _build_anchor_index(
         self, views: List[_SegmentView], hole_count: int, stats: RecoveryStats
-    ) -> Dict[Tuple, Deque[Tuple[int, int]]]:
-        """n-gram index of the wanted anchors: anchor tuple -> its newest
+    ) -> Dict[str, Deque[Tuple[int, int]]]:
+        """n-gram index of the wanted anchors: anchor code -> its newest
         occurrences ``(segment, end_position)`` in ascending order.
 
         Ranking only ever reads the newest ``max_candidates`` occurrences
         other than the IS's own, so each list keeps one more than that.
-        A window is only built where its last entry ends some wanted
-        anchor; windows holding ``None`` never equal a wanted anchor.
+        One pass per segment over its code string finds, with
+        ``compress`` over ``map`` (no per-entry Python step), the
+        positions whose code ends some wanted anchor; only there is the
+        ``x``-character slice ending at that position looked up.  So the
+        index stays linear in thread length, and every occurrence is
+        counted.  Slices holding ``"\\0"`` never equal a wanted anchor.
         """
         x = self.config.anchor_length
         cap = self.config.max_candidates
         # A cap below 1 trims nothing from the newest end (see
         # _select_and_rank), so every occurrence is kept.
         keep = cap + 1 if cap > 0 else None
-        index: Dict[Tuple, Deque[Tuple[int, int]]] = {}
+        index: Dict[str, Deque[Tuple[int, int]]] = {}
         for view in views[:hole_count]:
             anchor = self._anchor_of(view)
             if anchor is not None:
                 index[anchor] = deque(maxlen=keep)
         if not index:
             return index
-        last_nodes = {anchor[-1] for anchor in index}
+        ends_anchor = frozenset(anchor[-1] for anchor in index).__contains__
+        occurrences_of = index.get
         found = 0
         for segment_id, view in enumerate(views):
-            entries = view.entries
-            for end in [p for p, entry in enumerate(entries) if entry in last_nodes]:
-                if end < x - 1:
-                    continue
-                occurrences = index.get(tuple(entries[end - x + 1 : end + 1]))
+            code = view.code
+            for end in compress(count(x - 1), map(ends_anchor, code[x - 1 :])):
+                occurrences = occurrences_of(code[end - x + 1 : end + 1])
                 if occurrences is not None:
                     occurrences.append((segment_id, end))
                     found += 1
@@ -314,7 +361,7 @@ class RecoveryEngine:
     def _fill_hole(
         self,
         views: List[_SegmentView],
-        index: Dict[Tuple, Deque[Tuple[int, int]]],
+        index: Dict[str, Deque[Tuple[int, int]]],
         is_id: int,
         hole: ObservedHole,
         next_view: Optional[_SegmentView],
@@ -327,7 +374,7 @@ class RecoveryEngine:
         with timer("recovery.rank", tid=tid):
             ranked = self._select_and_rank(views, index, is_id, stats)
         if ranked:
-            post = next_view.entries[: config.post_match_length] if next_view else []
+            post = next_view.code[: config.post_match_length] if next_view else ""
             budget = int(
                 hole.duration
                 / max(config.cost_per_instruction, 1e-9)
@@ -347,7 +394,7 @@ class RecoveryEngine:
     def _select_and_rank(
         self,
         views: List[_SegmentView],
-        index: Dict[Tuple, Deque[Tuple[int, int]]],
+        index: Dict[str, Deque[Tuple[int, int]]],
         is_id: int,
         stats: RecoveryStats,
     ) -> List[_Candidate]:
@@ -378,39 +425,61 @@ class RecoveryEngine:
         occurrences: List[Tuple[int, int]],
         stats: RecoveryStats,
     ) -> List[_Candidate]:
-        """Algorithm 4: tiered common-suffix ranking with early exits."""
-        limit = self.config.max_suffix_compare
+        """Algorithm 4: tiered common-suffix ranking with early exits.
+
+        Theorem 5.5's exit is decided before any exact length.  A CS whose
+        tier-l bound (the shorter of the two cut tier strings, capped at
+        ``max_suffix_compare``) is below the best-so-far ``best_l`` is
+        pruned with no compare.  Otherwise one compare of its last
+        ``best_l`` codes against the IS tail of that length (cached until
+        ``best_l`` changes) decides it, because suffix equality is
+        monotone in its length.  A survivor's exact ``m_l`` is then
+        ``best_l`` plus the common suffix found below that matched tail:
+        zero when its bound is ``best_l``, else one compare of the rest of
+        the bound, else a gallop.
+        """
+        # A cap below 1 makes every suffix length 0.
+        limit = max(self.config.max_suffix_compare, 0)
         # The IS side is the whole segment at every tier: computed once.
-        is_entries = is_view.entries
-        is_end = len(is_entries)
-        _, is_symbols1, _, is_symbols2 = is_view.abstract()
-        is_end1, is_end2 = len(is_symbols1), len(is_symbols2)
+        is_code = is_view.code
+        is_end = len(is_code)
+        _, is_codes1, _, is_codes2 = is_view.abstract
+        is_end1, is_end2 = len(is_codes1), len(is_codes2)
+        limit1, limit2 = min(is_end1, limit), min(is_end2, limit)
         # The concrete match stops at the IS's nearest None.
-        limit3 = _none_free_suffix(is_entries, limit)
+        start = max(is_end - limit, 0)
+        limit3 = is_end - max(is_code.rfind(_NONE_CODE, start) + 1, start)
         best1 = best2 = best3 = 0
+        tail1 = tail2 = ""  # the IS's last best1 / best2 tier codes
         pruned1 = pruned2 = 0
         candidates: List[_Candidate] = []
         for segment_id, end in occurrences:
             cs_view = views[segment_id]
-            positions1, symbols1, positions2, symbols2 = cs_view.abstract()
-            m1 = common_suffix_length(
-                is_symbols1, symbols1, is_end1, bisect_right(positions1, end), limit
-            )
-            if m1 < best1:
+            positions1, codes1, positions2, codes2 = cs_view.abstract
+            cut1 = bisect_right(positions1, end)
+            bound1 = cut1 if cut1 < limit1 else limit1
+            if bound1 < best1 or not codes1.endswith(tail1, 0, cut1):
                 pruned1 += 1
                 continue
-            m2 = common_suffix_length(
-                is_symbols2, symbols2, is_end2, bisect_right(positions2, end), limit
-            )
-            if m2 < best2:
+            cut2 = bisect_right(positions2, end)
+            bound2 = cut2 if cut2 < limit2 else limit2
+            if bound2 < best2 or not codes2.endswith(tail2, 0, cut2):
                 pruned2 += 1
                 continue
-            m3 = common_suffix_length(
-                is_entries, cs_view.entries, is_end, end + 1, limit3
-            )
+            m1, m2 = best1, best2
+            if bound1 > best1:
+                m1 += common_suffix_length(
+                    is_codes1, codes1, is_end1 - best1, cut1 - best1, bound1 - best1
+                )
+            if bound2 > best2:
+                m2 += common_suffix_length(
+                    is_codes2, codes2, is_end2 - best2, cut2 - best2, bound2 - best2
+                )
+            m3 = common_suffix_length(is_code, cs_view.code, is_end, end + 1, limit3)
             candidates.append((-m3, -m2, -m1, segment_id, end))
             if m3 >= best3:
                 best1, best2, best3 = m1, m2, m3
+                tail1, tail2 = is_codes1[is_end1 - m1 :], is_codes2[is_end2 - m2 :]
         stats.candidates_tested += len(occurrences)
         stats.tier1_pruned += pruned1
         stats.tier2_pruned += pruned2
@@ -423,31 +492,25 @@ class RecoveryEngine:
         self,
         views: List[_SegmentView],
         candidate: _Candidate,
-        post: List[Entry],
+        post: str,
         budget: int,
     ) -> Optional[List[Entry]]:
-        """Copy the CS continuation until the post-hole context matches."""
+        """Copy the CS continuation until the post-hole context matches.
+
+        *post* is the code string of the post-hole context.  Its first
+        match is one ``str.find`` in the part of the CS's code string a
+        fill within budget can use; the fill itself is sliced from the
+        CS's entries.
+        """
         _m3, _m2, _m1, segment, anchor_end = candidate
-        cs_entries = views[segment].entries
+        cs_view = views[segment]
         start = anchor_end + 1
-        y = len(post)
-        if y == 0:
+        if not post:
             # Trailing hole: copy up to the budget.
-            return cs_entries[start : start + budget] if start < len(cs_entries) else None
-        # Only the part of the continuation a fill within budget can use.
-        window = cs_entries[start : start + budget + y]
-        stop = len(window) - y + 1  # exclusive bound on the match position
-        first = post[0]
-        position = 0
-        while position < stop:
-            try:
-                position = window.index(first, position, stop)
-            except ValueError:
-                return None
-            if window[position : position + y] == post:
-                return window[:position]
-            position += 1
-        return None
+            entries = cs_view.entries
+            return entries[start : start + budget] if start < len(entries) else None
+        position = cs_view.code.find(post, start, start + budget + len(post))
+        return None if position < 0 else cs_view.entries[start:position]
 
     # --------------------------------------------------------------- fallback
     def _fallback(
