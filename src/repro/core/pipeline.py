@@ -292,14 +292,18 @@ class JPortal:
         *database* overrides the archive's metadata snapshot + journal
         (e.g. when the sidecar is lost but metadata was exported through
         another channel).  *max_workers* is passed to
-        :meth:`analyze_trace`.
+        :meth:`analyze_trace`.  The seconds :func:`read_archive` took
+        are recorded under ``archive.read`` in ``result.metrics``.
         """
         from ..pt.archive import read_archive
 
+        started = time.perf_counter()
         contents = read_archive(path, snapshot_path=snapshot_path)
+        read_seconds = time.perf_counter() - started
         salvaged_db = database if database is not None else contents.database_or_empty()
         trace = contents.to_trace()
         result = self.analyze_trace(trace, salvaged_db, max_workers=max_workers)
+        result.metrics.add_time("archive.read", read_seconds)
         self._attach_salvage(result, contents.stats)
         return result
 
