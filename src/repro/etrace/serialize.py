@@ -2,7 +2,7 @@
 
 Registers one :func:`repro.pt.serialize.register_entry_codec` codec per
 E-Trace packet class, so E-Trace streams flow through the same
-:func:`write_entry` / :func:`iter_body` machinery -- and therefore
+:func:`write_entry` / :func:`iter_entries` machinery -- and therefore
 through the same archive, salvage, and fault-injection layers -- as PT
 streams.  Importing this module (which :mod:`repro.etrace` does) is what
 makes the tags decodable; the archive scanner triggers that import via

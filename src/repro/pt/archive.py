@@ -81,7 +81,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..jvm.machine import MachineInstruction, MIKind, ThreadSwitchRecord
 from .decoder import AnomalyKind
 from .packets import AuxLossRecord
-from .serialize import TraceFormatError, iter_body, write_body
+from .serialize import TraceFormatError, iter_entries, write_body
 
 ARCHIVE_MAGIC = b"RPT2"
 LEGACY_MAGIC = b"RPT1"
@@ -838,10 +838,9 @@ def _salvage_legacy(data, contents: ArchiveContents) -> None:
     stats.legacy = True
     stats.sealed = True  # RPT1 has no seal concept; don't flag it.
     entries: List[Tuple[str, object]] = []
-    source = io.BytesIO(bytes(data[4:]))
     salvage_point = len(data)
     try:
-        for entry in iter_body(source, base_offset=4):
+        for entry in iter_entries(data[4:], base_offset=4):
             entries.append(entry)
     except TraceFormatError as error:
         salvage_point = error.entry_offset
@@ -1165,8 +1164,8 @@ class _ArchiveScanner:
                 stats.segments_total += 1
                 try:
                     entries = list(
-                        iter_body(
-                            io.BytesIO(payload),
+                        iter_entries(
+                            payload,
                             base_offset=base + sync + len(_SYNC) + _HEADER.size + _HCRC.size,
                         )
                     )
