@@ -19,8 +19,10 @@ Cases:
 * **figure2** -- the Figure 2 program run by three threads on two cores
   (the decode golden's inputs), collected PT lossless, PT lossy (six loss
   spans, cut at thread switches into 36 pieces) and E-Trace lossless,
-  eight schedules each; four schedules that stop without a seal (clean
-  and torn) and so finalize through the batch replay; and two that
+  eight schedules each; four schedules that stop without a seal: two
+  stop between records and finalize incrementally, carrying the missing
+  seal onto the result as batch does, and two stop mid-record and
+  finalize through the batch replay; and two that
   commit the sideband after a third of the other records, so polls
   release entries before any switch is known, flag a replay when the
   sideband lands, and from then on only accumulate pending entries;
