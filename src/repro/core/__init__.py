@@ -24,13 +24,13 @@ from .metrics import MetricsRegistry
 from .multicore import ThreadTrace, split_by_thread
 from .nfa import DFA, NFA, ProgramNFA, abstract_method_nfa, determinize, method_nfa
 from .observed import ObservedColumns, ObservedHole, ObservedStep
-from .parallel import ideal_makespan
 from .pipeline import (
     JPortal,
     JPortalResult,
     PhaseTimings,
     ThreadFlow,
     ThreadPhaseTimings,
+    ideal_makespan,
 )
 from .reconstruct import (
     MatchStats,

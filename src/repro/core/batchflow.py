@@ -51,26 +51,24 @@ class BlockTemplate:
     """The lifted columns of one :class:`~repro.core.metadata.WalkBlock`.
 
     ``ops``/``locs`` are the step columns the whole block contributes
-    (parallel tuples), with ``nones``/``jits`` the matching constant
-    columns (``taken=None``, ``source="jit"``) pre-sized for one
-    ``list += tuple`` emission each.  The ``body_*`` family excludes the
-    *last* address's contribution -- what a TNT-starved walk emits before
-    suspending at the block's conditional.  ``stale``/``body_stale``
-    count debug records that no longer resolve (re-counted on every
-    traversal, so the stale counter counts executions, not records).
+    (parallel tuples), with ``nones`` the matching constant column
+    (``taken=None``) pre-sized for one ``list += tuple`` emission.  The
+    ``body_*`` family excludes the *last* address's contribution -- what
+    a TNT-starved walk emits before suspending at the block's
+    conditional.  ``stale``/``body_stale`` count debug records that no
+    longer resolve (re-counted on every traversal, so the stale counter
+    counts executions, not records).
     """
 
     __slots__ = (
         "ops",
         "locs",
         "nones",
-        "jits",
         "count",
         "stale",
         "body_ops",
         "body_locs",
         "body_nones",
-        "body_jits",
         "body_count",
         "body_stale",
     )
@@ -87,12 +85,10 @@ class BlockTemplate:
         self.locs = locs
         self.count = len(ops)
         self.nones = (None,) * self.count
-        self.jits = ("jit",) * self.count
         self.stale = stale
         self.body_ops = ops[:body_count]
         self.body_locs = locs[:body_count]
         self.body_nones = (None,) * body_count
-        self.body_jits = ("jit",) * body_count
         self.body_count = body_count
         self.body_stale = body_stale
 

@@ -182,8 +182,10 @@ class CodeDatabase:
                 self._mi_index.setdefault(mi.address, []).append((dump, mi))
         # Batch-decoder caches (filled lazily; see the array decode core
         # section of DESIGN.md).  Both are monotone memo tables over
-        # immutable inputs, so concurrent fills from pooled worker threads
-        # are benign (worst case: the same entry computed twice).
+        # immutable inputs, so a racing fill is benign (worst case: the
+        # same entry computed twice).  Tenant polls on the stream
+        # supervisor's pool are the only code that decodes off the
+        # caller's thread.
         self._target_class: Dict[int, Tuple[int, Optional[Op]]] = {}
         self._blocks: Dict[int, WalkBlock] = {}
         self._block_count = 0

@@ -1,11 +1,10 @@
 """Lightweight metrics registry for the offline pipeline.
 
 The offline side runs decode -> lift -> project -> recover once per
-thread, possibly on a thread pool (:mod:`repro.core.parallel`), so every
-phase needs to be observable without the phases knowing about each other:
-:class:`MetricsRegistry` is the shared sink.  It records three kinds of
-facts, each keyed by ``(name, tid)`` where ``tid`` is the analysed
-thread (``None`` for process-global facts):
+thread, so every phase needs to be observable without the phases
+knowing about each other: :class:`MetricsRegistry` is the shared sink.
+It records three kinds of facts, each keyed by ``(name, tid)`` where
+``tid`` is the analysed thread (``None`` for process-global facts):
 
 * **counters** -- monotonically increasing counts (packets decoded,
   anomalies, restarts, holes filled, ...);
@@ -15,8 +14,11 @@ thread (``None`` for process-global facts):
   queue depth): unlike counters they overwrite rather than add, so a
   gauge read reports the *current* state, not history.
 
-All mutation takes a single lock, so decoder/projector/recovery instances
-running concurrently on different threads can share one registry.  Reads
+All mutation takes a single lock.  The per-thread chains run one after
+another; the only remaining concurrency is the
+:class:`~repro.stream.service.StreamSupervisor` pool, whose tenant polls
+write their tenant's registry off the caller's thread (and a poll the
+watchdog abandoned keeps writing while the caller reads).  Reads
 with ``tid=None`` aggregate across all threads, so
 ``registry.counter("decode.anomalies")`` is the process-wide total while
 ``registry.counter("decode.anomalies", tid=3)`` is thread 3's share.

@@ -70,8 +70,8 @@ class ObservedColumns:
 
     The decode->project hot path never needs one object per observed
     step; it needs the step *columns*.  ``symbols``/``takens``/
-    ``locations``/``sources``/``tscs`` are parallel lists (position ``i``
-    across all five is step ``i``), holes are kept out-of-band as
+    ``locations``/``tscs`` are parallel lists (position ``i`` across all
+    four is step ``i``), holes are kept out-of-band as
     ``(position, hole)`` pairs where ``position`` is the number of steps
     emitted before the hole, and anomalies are a count.
     :meth:`segment_ranges` cuts the columns into the hole-free runs that
@@ -81,7 +81,10 @@ class ObservedColumns:
     views for consumers downstream of the pipeline (profiling clients,
     benchmarks).  ``items`` materialises real :class:`ObservedStep`
     objects lazily, exactly once: the view is paid for only when asked
-    for, never inside the timed decode phase.
+    for, never inside the timed decode phase.  A step's ``source`` is not
+    stored: the decoder gives every compiled-code step its ``(method,
+    bci)`` and no interpreted step a location, so the view derives
+    ``"jit"`` from a location and ``"interp"`` from ``None``.
     """
 
     __slots__ = (
@@ -89,7 +92,6 @@ class ObservedColumns:
         "symbols",
         "takens",
         "locations",
-        "sources",
         "tscs",
         "hole_positions",
         "_holes",
@@ -102,7 +104,6 @@ class ObservedColumns:
         self.symbols: List[Op] = []
         self.takens: List[Optional[bool]] = []
         self.locations: List[Optional[Tuple[str, int]]] = []
-        self.sources: List[str] = []
         self.tscs: List[int] = []
         self.hole_positions: List[int] = []
         self._holes: List[ObservedHole] = []
@@ -157,12 +158,13 @@ class ObservedColumns:
                 while hole_at < hole_count and positions[hole_at] <= index:
                     cached.append(holes[hole_at])
                     hole_at += 1
+                location = self.locations[index]
                 cached.append(
                     ObservedStep(
                         self.symbols[index],
                         self.takens[index],
-                        self.locations[index],
-                        self.sources[index],
+                        location,
+                        "jit" if location is not None else "interp",
                         self.tscs[index],
                     )
                 )
@@ -179,8 +181,8 @@ class ObservedColumns:
         return list(self._holes)
 
     def __eq__(self, other) -> bool:
-        """Value equality over the observed content (the serial/parallel
-        bit-identity tests compare flows through it)."""
+        """Value equality over the observed content (the determinism and
+        round-trip tests compare flows through it)."""
         if not isinstance(other, ObservedColumns):
             return NotImplemented
         return (
@@ -189,7 +191,6 @@ class ObservedColumns:
             and self.symbols == other.symbols
             and self.takens == other.takens
             and self.locations == other.locations
-            and self.sources == other.sources
             and self.tscs == other.tscs
             and self.hole_positions == other.hole_positions
             and self._holes == other._holes

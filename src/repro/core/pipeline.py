@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..jvm.icfg import ICFG
 from ..jvm.model import JProgram
@@ -40,7 +40,6 @@ from .metrics import MetricsRegistry
 from .multicore import ThreadTrace, split_by_thread
 from .nfa import Node, ProgramNFA
 from .observed import ObservedColumns
-from .parallel import make_executor
 from .reconstruct import MatchStats, Projector
 from .recovery import RecoveredFlow, RecoveryConfig, RecoveryEngine, RecoveryStats
 
@@ -90,8 +89,10 @@ class PhaseTimings:
 
     The three phase fields aggregate (sum) the per-thread work recorded in
     ``per_thread``; ``wall_seconds`` is the measured end-to-end wall clock
-    of the analysis, which is smaller than ``total_seconds`` when the
-    per-thread chains ran concurrently.
+    of the analysis.  The chains run one after another, so the wall clock
+    covers their sum plus the split and the result assembly;
+    :func:`ideal_makespan` models what truly concurrent chains could
+    achieve from ``per_thread``.
     """
 
     decode_seconds: float = 0.0
@@ -115,6 +116,23 @@ class PhaseTimings:
         if not self.per_thread:
             return 0.0
         return max(timing.total_seconds for timing in self.per_thread.values())
+
+
+def ideal_makespan(durations: Iterable[float], workers: int) -> float:
+    """Makespan of an LPT (longest-processing-time-first) schedule.
+
+    Given the measured per-thread chain durations, this estimates the
+    wall clock *workers* truly concurrent workers would need.  It is an
+    estimate, not a floor: LPT is the classic 4/3-approximation to the
+    (NP-hard) optimal makespan, and the model charges no dispatch or
+    interpreter-lock cost, so a real pool can land on either side of it.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got %r" % (workers,))
+    loads: List[float] = [0.0] * workers
+    for duration in sorted(durations, reverse=True):
+        loads[loads.index(min(loads))] += duration
+    return max(loads)
 
 
 @dataclass
@@ -164,8 +182,8 @@ class JPortal:
         context_sensitive: ``True`` (default) carries a call stack during
             projection (the PDA alternative of Section 4 "Discussions");
             ``False`` is the paper's plain NFA.
-        degradation: Policy for hostile input (resync protocol + error
-            budget); ``None`` uses the :class:`DegradationPolicy` default.
+        degradation: The error budget for hostile input; ``None`` uses
+            the :class:`DegradationPolicy` default.
         engine: Must be ``"array"``, the only decode engine
             (:class:`~repro.tracesource.engine.BatchEventDecoder` +
             :meth:`~repro.core.reconstruct.Projector.project_arrays`);
@@ -227,56 +245,43 @@ class JPortal:
         self,
         run: RunResult,
         pt_config: Optional[PTConfig] = None,
-        max_workers: int = 1,
     ) -> JPortalResult:
         """Collect a trace from *run* (any frontend) and analyse it."""
         trace = collect(run, pt_config)
         database = collect_metadata(run)
-        return self.analyze_trace(trace, database, max_workers=max_workers)
+        return self.analyze_trace(trace, database)
 
     def analyze_trace(
-        self,
-        trace: PTTrace,
-        database: CodeDatabase,
-        max_workers: int = 1,
+        self, trace: PTTrace, database: CodeDatabase
     ) -> JPortalResult:
         """Analyse an already collected trace against exported metadata.
 
         Each thread's decode -> project -> recover chain is independent
-        of every other thread's.  ``max_workers=1`` (the default) runs
-        the chains in a loop; a larger value runs them on a thread pool
-        (:func:`~repro.core.parallel.make_executor`) of at most one
-        worker per thread.  Flows are merged in ascending tid order
-        either way, so every worker count gives identical results.
+        of every other thread's; the chains run in a loop in ascending
+        tid order.  They are pure Python, so a thread pool would add
+        dispatch cost under the interpreter lock and no parallelism.  A
+        chain that fails degrades to an empty flow (counted under
+        ``pipeline.thread_chain_failures``) instead of killing the whole
+        analysis.
         """
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1, got %r" % (max_workers,))
         metrics = MetricsRegistry()
         wall_started = time.perf_counter()
         with metrics.timer("split"):
             per_thread = split_by_thread(trace)
-        tids = sorted(per_thread)
-
-        def chain(tid: int) -> ThreadFlow:
-            return self._analyze_thread_safe(
-                tid, per_thread[tid], database, metrics
-            )
-
-        workers = min(max_workers, len(tids))
-        if workers > 1:
-            # map() yields in submission (ascending tid) order, not
-            # completion order, and reads every future's result.
-            with make_executor(workers) as pool:
-                flows = dict(zip(tids, pool.map(chain, tids)))
-        else:
-            flows = dict(zip(tids, map(chain, tids)))
+        flows: Dict[int, ThreadFlow] = {}
+        for tid in sorted(per_thread):
+            try:
+                flows[tid] = self._analyze_thread(
+                    tid, per_thread[tid], database, metrics
+                )
+            except Exception:
+                flows[tid] = self._degraded_flow(tid, metrics)
         return self._finish(trace, database, flows, metrics, wall_started)
 
     def analyze_archive(
         self,
         path,
         database: Optional[CodeDatabase] = None,
-        max_workers: int = 1,
         snapshot_path=None,
     ) -> JPortalResult:
         """Salvage-read a durable ``RPT2`` (or legacy ``RPT1``) archive
@@ -291,9 +296,8 @@ class JPortal:
 
         *database* overrides the archive's metadata snapshot + journal
         (e.g. when the sidecar is lost but metadata was exported through
-        another channel).  *max_workers* is passed to
-        :meth:`analyze_trace`.  The seconds :func:`read_archive` took
-        are recorded under ``archive.read`` in ``result.metrics``.
+        another channel).  The seconds :func:`read_archive` took are
+        recorded under ``archive.read`` in ``result.metrics``.
         """
         from ..pt.archive import read_archive
 
@@ -302,7 +306,7 @@ class JPortal:
         read_seconds = time.perf_counter() - started
         salvaged_db = database if database is not None else contents.database_or_empty()
         trace = contents.to_trace()
-        result = self.analyze_trace(trace, salvaged_db, max_workers=max_workers)
+        result = self.analyze_trace(trace, salvaged_db)
         result.metrics.add_time("archive.read", read_seconds)
         self._attach_salvage(result, contents.stats)
         return result
@@ -390,24 +394,6 @@ class JPortal:
             result.anomalies_by_kind = anomaly_breakdown(metrics)
         result.salvage = stats
 
-    def _analyze_thread_safe(
-        self,
-        tid: int,
-        thread_trace: ThreadTrace,
-        database: CodeDatabase,
-        metrics: MetricsRegistry,
-    ) -> ThreadFlow:
-        """:meth:`_analyze_thread` with the no-crash backstop: a chain
-        failure on one thread degrades to an empty flow (counted under
-        ``pipeline.thread_chain_failures``) instead of killing the whole
-        analysis.  Both the serial loop and the worker pool go through
-        this wrapper, so degraded output is identical either way.
-        """
-        try:
-            return self._analyze_thread(tid, thread_trace, database, metrics)
-        except Exception:
-            return self._degraded_flow(tid, metrics)
-
     @staticmethod
     def _degraded_flow(tid: int, metrics: MetricsRegistry) -> ThreadFlow:
         """The empty flow a failed per-thread chain degrades to."""
@@ -429,9 +415,9 @@ class JPortal:
     ) -> ThreadFlow:
         """One thread's full decode -> lift -> project -> recover chain.
 
-        Self-contained and side-effect-free apart from *metrics* (which is
-        thread-safe), so chains for different tids can run concurrently.
-        The decoder class comes from the frontend registry keyed by the
+        Self-contained and side-effect-free apart from *metrics*, so
+        chains for different tids are independent of each other.  The
+        decoder class comes from the frontend registry keyed by the
         thread trace's ``source`` (``"pt"``, ``"etrace"``, ...), so a
         second trace format flows through this chain unchanged.
         """

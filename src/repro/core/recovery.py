@@ -120,8 +120,8 @@ class _Codes(dict):
     ``_Codes`` copy of it, in which an entry outside the table gets the
     next unused character on first sight: equal unknown entries share it
     within the call, and distinct ones match neither each other, ``None``
-    nor a node.  The engine's table is never written, because the
-    per-thread chains of a pooled ``analyze_trace`` share one engine.
+    nor a node.  The engine's table is never written, because every
+    thread chain of every analysis shares one engine.
     """
 
     def __missing__(self, entry: Entry) -> str:
@@ -183,8 +183,8 @@ class _Pairs(dict):
     """entry -> the shared ``(entry, provenance)`` pair of one provenance.
 
     An entry outside the table gets a fresh pair that is not stored: the
-    table is never written after construction, because the per-thread
-    chains of a pooled ``analyze_trace`` share one engine.
+    table is never written after construction, because every thread
+    chain of every analysis shares one engine.
     """
 
     def __init__(self, entries: Iterable[Entry], provenance: str):

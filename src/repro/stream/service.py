@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from itertools import islice
 from operator import le
@@ -71,7 +72,6 @@ from typing import Dict, List, Optional, Tuple
 from ..core.metrics import MetricsRegistry
 from ..core.multicore import split_windows, switch_timelines
 from ..core.observed import ObservedColumns
-from ..core.parallel import make_executor
 from ..pt.archive import (
     REC_CODE_DUMP,
     REC_FORMAT,
@@ -232,14 +232,13 @@ class StreamDecoder:
         delta.latency_seconds = time.perf_counter() - started
         return delta
 
-    def finalize(self, max_workers: int = 1):
+    def finalize(self):
         """Declare the archive done; return the terminal result.
 
         Bit-identical to ``jportal.analyze_archive(path, ...)`` on the
         same final file: directly so on the replay path, and by
         construction (same reassembly order, same decoders, same
         projection/recovery code path) on the incremental fast path.
-        *max_workers* is passed to the replay's ``analyze_archive``.
         """
         if self._finalized is not None:
             return self._finalized
@@ -296,9 +295,7 @@ class StreamDecoder:
         if self._replay or contents is None:
             self.replayed = True
             self._finalized = self.jportal.analyze_archive(
-                self.reader.path,
-                max_workers=max_workers,
-                snapshot_path=self.reader.snapshot_path,
+                self.reader.path, snapshot_path=self.reader.snapshot_path
             )
             return self._finalized
         metrics = self.metrics
@@ -331,9 +328,7 @@ class StreamDecoder:
             self._flag_replay("finalize error: %r" % (exc,))
             self.replayed = True
             result = self.jportal.analyze_archive(
-                self.reader.path,
-                max_workers=max_workers,
-                snapshot_path=self.reader.snapshot_path,
+                self.reader.path, snapshot_path=self.reader.snapshot_path
             )
         self._finalized = result
         return result
@@ -722,12 +717,13 @@ class StreamSupervisor:
 
     Each tenant is one concurrently traced process (its own archive,
     program, and analyser).  ``poll_all()`` shards the per-tenant polls
-    onto a shared thread pool (:func:`repro.core.parallel.make_executor`)
-    and joins deterministically in tenant-name order; per-tenant
-    ``stream.*`` metrics land in :attr:`metrics` keyed by tenant index.
-    *max_workers* sizes that pool (``None``: one worker per tenant, at
-    most one per host CPU) and is also the per-thread fan-out of the
-    batch-replay path of ``finalize()`` (``None`` runs it serially).
+    onto a shared thread pool and joins deterministically in tenant-name
+    order; per-tenant ``stream.*`` metrics land in :attr:`metrics` keyed
+    by tenant index.  *max_workers* sizes that pool (``None``: one worker
+    per tenant, at most one per host CPU).  The pool is the only place
+    the analysis runs threads: the ``poll_deadline`` watchdog needs a
+    poll on a thread it can abandon.  ``finalize()`` and its batch
+    replay run on the caller's thread.
 
     Supervision is fault-isolated per tenant (see
     :mod:`repro.stream.resilience`): a poll that reports a failure puts
@@ -901,11 +897,9 @@ class StreamSupervisor:
             self.metrics.incr("stream.forced_replays", tid=index)
             self.metrics.incr("stream.finalize_replays", tid=index)
             return tenant.jportal.analyze_archive(
-                tenant.reader.path,
-                max_workers=self.max_workers or 1,
-                snapshot_path=tenant.reader.snapshot_path,
+                tenant.reader.path, snapshot_path=tenant.reader.snapshot_path
             )
-        result = tenant.finalize(max_workers=self.max_workers or 1)
+        result = tenant.finalize()
         if tenant.replayed:
             self.metrics.incr("stream.finalize_replays", tid=index)
         return result
@@ -951,8 +945,8 @@ class StreamSupervisor:
             workers = self.max_workers or min(
                 max(len(self._tenants), 1), os.cpu_count() or 1
             )
-            self._pool = make_executor(
-                workers, thread_name_prefix="jportal-stream"
+            self._pool = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="jportal-stream"
             )
         return self._pool
 

@@ -162,14 +162,13 @@ class AnomalyKind(str, Enum):
 
 @dataclass(frozen=True)
 class DegradationPolicy:
-    """Error budget and resync behaviour for hostile input.
+    """Error budget for hostile input.
+
+    The resync protocol is not a policy choice: on every
+    desynchronisation the decoder scans forward to the next
+    structurally-valid anchor (see the module docstring).
 
     Attributes:
-        resync: On a desynchronisation (indirect target into unmapped
-            space, walk reaching unknown code), scan forward to the next
-            structurally-valid anchor, discarding outcome batches whose
-            branch context is unknown.  ``False`` restores the legacy
-            lenient behaviour (bits stay buffered and may misbind).
         max_anomalies_per_segment: After this many anomalies inside one
             hole-free segment the decoder declares a *synthetic hole*
             (a hole with ``synthetic=True``): the damaged span is handed
@@ -177,7 +176,6 @@ class DegradationPolicy:
             ``None`` disables the budget.
     """
 
-    resync: bool = True
     max_anomalies_per_segment: Optional[int] = 64
 
 
@@ -248,7 +246,7 @@ class BatchEventDecoder:
     * no intermediate per-dispatch or per-walk objects: steps are
       written directly into the parallel columns of an
       :class:`repro.core.observed.ObservedColumns` sink (duck-typed:
-      ``symbols``/``takens``/``locations``/``sources``/``tscs`` lists
+      ``symbols``/``takens``/``locations``/``tscs`` lists
       plus ``add_hole`` and an ``anomalies`` counter);
     * outcome payloads are kept as one flat bit-run (list + cursor)
       instead of a deque popped one object at a time;
@@ -274,10 +272,10 @@ class BatchEventDecoder:
     :class:`~repro.core.metrics.MetricsRegistry` is supplied the stats
     are published under ``decode.*`` counters for *tid* (and stale debug
     records under ``lift.stale_debug_entries``) by :meth:`finish`.
-    *policy* tunes the degradation behaviour (resync + error budget);
-    the default :class:`DegradationPolicy` is used when ``None``.  An
-    instance decodes one stream (optionally fed in chunks) and never
-    raises on malformed input.
+    *policy* sets the error budget; the default
+    :class:`DegradationPolicy` is used when ``None``.  An instance
+    decodes one stream (optionally fed in chunks) and never raises on
+    malformed input.
     """
 
     def __init__(
@@ -381,7 +379,6 @@ class BatchEventDecoder:
         symbols_append = columns.symbols.append
         takens_append = columns.takens.append
         locations_append = columns.locations.append
-        sources_append = columns.sources.append
         tscs_append = columns.tscs.append
         kind_memo = _EVENT_KIND_MEMO
         kind_of = _event_kind_of
@@ -424,7 +421,6 @@ class BatchEventDecoder:
                                 symbols_append(op)
                                 takens_append(taken)
                                 locations_append(None)
-                                sources_append("interp")
                                 tscs_append(tsc)
                             elif code == TARGET_STUB:
                                 self._post_loss = False
@@ -541,7 +537,6 @@ class BatchEventDecoder:
             cols.symbols.append(op)
             cols.takens.append(taken)
             cols.locations.append(None)
-            cols.sources.append("interp")
             cols.tscs.append(ptsc)
         if self._walk is not None and self._cur < len(bits):
             span_tsc, address = self._walk
@@ -583,7 +578,6 @@ class BatchEventDecoder:
             cols.symbols.append(op)
             cols.takens.append(taken)
             cols.locations.append(None)
-            cols.sources.append("interp")
             cols.tscs.append(tsc)
             return
         if code == TARGET_STUB:
@@ -605,10 +599,7 @@ class BatchEventDecoder:
             AnomalyKind.TIP_UNMAPPED,
             "TIP to unknown address 0x%x" % target,
         )
-        if self.policy.resync:
-            self._enter_desync()
-        else:
-            self._post_loss = False  # legacy behaviour: any TIP anchors
+        self._enter_desync()
 
     def _enter_desync(self) -> None:
         self._desync = True
@@ -644,12 +635,10 @@ class BatchEventDecoder:
         walk_block = database.walk_block
         lifter = self.lifter
         template_of = lifter.block_template
-        resync = self.policy.resync
         cols = self._columns
         symbols = cols.symbols
         takens = cols.takens
         locations = cols.locations
-        sources = cols.sources
         tscs = cols.tscs
         bits = self._bits
         avail = len(bits)
@@ -678,10 +667,9 @@ class BatchEventDecoder:
                             AnomalyKind.WALK_DESYNC,
                             "walk desynchronised at 0x%x" % address,
                         )
-                        if resync:
-                            self._cur = cur
-                            self._enter_desync()
-                            cur = self._cur
+                        self._cur = cur
+                        self._enter_desync()
+                        cur = self._cur
                         return
                     mikind = mi.kind
                     if mikind is MIKind.COND_BRANCH and cur >= avail:
@@ -697,7 +685,6 @@ class BatchEventDecoder:
                             symbols.append(step[0])
                             takens.append(None)
                             locations.append(step[1])
-                            sources.append("jit")
                             tscs.append(span_tsc)
                     walked += 1
                     if mikind is MIKind.OTHER:
@@ -726,7 +713,6 @@ class BatchEventDecoder:
                             symbols += template.body_ops
                             takens += template.body_nones
                             locations += template.body_locs
-                            sources += template.body_jits
                             tscs += (span_tsc,) * body
                         stale += template.body_stale
                         walked += count - 1
@@ -737,7 +723,6 @@ class BatchEventDecoder:
                         symbols += template.ops
                         takens += template.nones
                         locations += template.locs
-                        sources += template.jits
                         tscs += (span_tsc,) * template.count
                     stale += template.stale
                     walked += count
@@ -752,7 +737,6 @@ class BatchEventDecoder:
                     symbols += template.ops
                     takens += template.nones
                     locations += template.locs
-                    sources += template.jits
                     tscs += (span_tsc,) * template.count
                 stale += template.stale
                 walked += count
@@ -767,10 +751,9 @@ class BatchEventDecoder:
                     AnomalyKind.WALK_DESYNC,
                     "walk desynchronised at 0x%x" % block.next_ip,
                 )
-                if resync:
-                    self._cur = cur
-                    self._enter_desync()
-                    cur = self._cur
+                self._cur = cur
+                self._enter_desync()
+                cur = self._cur
                 return
         finally:
             self._cur = cur
@@ -789,7 +772,6 @@ class BatchEventDecoder:
         cols.symbols.append(op)
         cols.takens.append(None)
         cols.locations.append(None)
-        cols.sources.append("interp")
         cols.tscs.append(ptsc)
 
     def _abandon(self, why: str, tsc: Optional[int] = None) -> None:

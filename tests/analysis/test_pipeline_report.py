@@ -9,11 +9,11 @@ from repro.workloads import SUBJECT_NAMES, build_subject, default_config
 from ..conftest import lossless_config
 
 
-def _analyse(name="avrora", **kwargs):
+def _analyse(name="avrora"):
     subject = build_subject(name)
     jportal = JPortal(subject.program, opaque_call_sites=subject.opaque_call_sites)
     run = subject.run(default_config())
-    return jportal, jportal.analyze_run(run, lossless_config(), **kwargs)
+    return jportal, jportal.analyze_run(run, lossless_config())
 
 
 class TestReportOnResult:
@@ -24,17 +24,6 @@ class TestReportOnResult:
         assert report.decodable()
         assert not report.lint.has_errors
         assert len(report.checks) == len(list(result.program.methods()))
-
-    def test_parallel_result_carries_same_verdicts(self):
-        jportal, serial = _analyse()
-        parallel = jportal.analyze_trace(
-            serial.trace, serial.database, max_workers=3
-        )
-        assert parallel.analysis_report is not None
-        assert (
-            parallel.analysis_report.ambiguous_methods()
-            == serial.analysis_report.ambiguous_methods()
-        )
 
     def test_database_lint_merged_per_run(self):
         jportal, result = _analyse()

@@ -29,7 +29,6 @@ def _columns(layout):
         columns.symbols.append(Op.NOP)
         columns.takens.append(None)
         columns.locations.append(None)
-        columns.sources.append("interp")
         columns.tscs.append(tsc)
     return columns
 
@@ -74,6 +73,13 @@ class TestObservedColumns:
         columns.add_hole(3, 4, 0, True)
         assert type(columns.items[-1]) is ObservedHole
         assert len(columns.holes()) == 2
+
+    def test_step_source_follows_location(self):
+        """A located step is a compiled-code step, an unlocated one an
+        interpreted step; the view derives ``source`` from that."""
+        columns = _columns("ss")
+        columns.locations[1] = ("Test.fun", 3)
+        assert [step.source for step in columns.steps()] == ["interp", "jit"]
 
     def test_hole_duration(self):
         hole = ObservedHole(start_tsc=5, end_tsc=25)
@@ -124,10 +130,8 @@ class TestJitLifter:
         columns = _decode(figure2, figure2["database"])
         lifted = [
             (op, location)
-            for op, location, source in zip(
-                columns.symbols, columns.locations, columns.sources
-            )
-            if source == "jit"
+            for op, location in zip(columns.symbols, columns.locations)
+            if location is not None
         ]
         assert lifted
         for op, (qname, bci) in lifted:
@@ -189,10 +193,10 @@ class TestJitLifter:
         clean = _decode(figure2, figure2["database"])
         metrics = MetricsRegistry()
         columns = _decode(figure2, stale, metrics)
-        lifted = clean.sources.count("jit")
+        lifted = len(clean.locations) - clean.locations.count(None)
         assert lifted > 0
         # Walking never reads debug info: the interpreted steps are
         # unchanged, and every step the clean decode lifted from compiled
         # code is now a counted stale record instead.
-        assert columns.sources == ["interp"] * clean.sources.count("interp")
+        assert columns.locations == [None] * clean.locations.count(None)
         assert metrics.counter("lift.stale_debug_entries", tid=0) == lifted

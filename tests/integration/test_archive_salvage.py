@@ -127,14 +127,6 @@ class TestArchiveContract:
             assert disk_flow.observed.items == flow.observed.items, tid
         assert from_disk.salvage.clean
 
-    def test_parallel_archive_matches_serial(self, fixture):
-        serial = fixture["jportal"].analyze_archive(fixture["path"])
-        parallel = fixture["jportal"].analyze_archive(
-            fixture["path"], max_workers=4
-        )
-        for tid, flow in serial.flows.items():
-            assert parallel.flows[tid].flow.entries == flow.flow.entries, tid
-
     @pytest.mark.parametrize(
         "kind",
         [

@@ -2,8 +2,9 @@
 
 ``golden_decode.json`` holds one sha256 per case over a canonical
 ``repr`` of the whole :class:`~repro.core.pipeline.JPortalResult`: for
-each thread the observed columns (symbols, takens, locations, sources,
-tscs, hole positions and holes, anomaly count), the projected segments
+each thread the observed columns (symbols, takens, locations, each
+step's source derived from its location, tscs, hole positions and
+holes, anomaly count), the projected segments
 and the recovered entries, with
 :class:`~repro.core.recovery.RecoveryStats` and
 :class:`~repro.core.reconstruct.MatchStats` as sorted field items; then
@@ -11,8 +12,7 @@ the sorted ``anomalies_by_kind``, ``anomalies`` and ``synthetic_holes``.
 Three families of cases:
 
 * **figure2** -- the Figure 2 program run by three threads on two cores,
-  collected lossless (PT and E-Trace) and lossy (PT), each analysed
-  serially and on a three-worker thread pool;
+  collected lossless (PT and E-Trace) and lossy (PT);
 * **fuzz** -- 200 seeded fault-injected variants of the lossy PT trace
   (``FaultInjector(3_000_000 + seed)``, with a corrupted database on
   every fifth seed);
@@ -71,7 +71,12 @@ def digest(result) -> str:
         feed(observed.symbols)
         feed(observed.takens)
         feed(observed.locations)
-        feed(observed.sources)
+        feed(
+            [
+                "jit" if location is not None else "interp"
+                for location in observed.locations
+            ]
+        )
         feed(observed.tscs)
         feed(observed.hole_positions)
         feed(observed.holes())
@@ -171,11 +176,10 @@ def figure2():
     }
 
 
-@pytest.mark.parametrize("max_workers", (1, 3), ids=("serial", "thread"))
 @pytest.mark.parametrize("case", FIGURE2_CASES)
-def test_figure2_matches_golden(figure2, case, max_workers):
+def test_figure2_matches_golden(figure2, case):
     result = figure2["jportal"].analyze_trace(
-        figure2["traces"][case], figure2["database"], max_workers=max_workers
+        figure2["traces"][case], figure2["database"]
     )
     assert digest(result) == _golden()["figure2"][case]
 
@@ -193,23 +197,6 @@ def test_fuzz_matches_golden(figure2):
 @pytest.mark.parametrize("name", SUBJECT_NAMES)
 def test_subject_matches_golden(name):
     assert subject_digests(name) == _golden()["subjects"][name]
-
-
-class TestFuzzedPoolIdentity:
-    """Pooled output equals serial output on fuzzed traces the golden
-    does not cover (a different seed family)."""
-
-    def test_pool_matches_serial(self, figure2):
-        jportal = figure2["jportal"]
-        database = figure2["database"]
-        for seed in (0, 7):
-            injector = FaultInjector(4_000_000 + seed)
-            trace, _faults = injector.mutate_trace(
-                figure2["traces"]["pt-lossy"], faults_per_core=2
-            )
-            serial = jportal.analyze_trace(trace, database)
-            pooled = jportal.analyze_trace(trace, database, max_workers=3)
-            assert digest(pooled) == digest(serial), "seed=%d" % seed
 
 
 if __name__ == "__main__":

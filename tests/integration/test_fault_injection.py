@@ -1,8 +1,8 @@
 """Fault-injection fuzz suite: the decode pipeline never crashes.
 
-The invariant under test (ISSUE 3's tentpole): **no corrupted stream ever
-raises** -- it degrades to anomalies + holes -- and serial/parallel
-pipeline outputs stay bit-identical under every injected fault.  A
+The invariant under test: **no corrupted stream ever raises** -- it
+degrades to anomalies + holes -- and analysing the same faulted trace
+twice gives bit-identical output under every injected fault.  A
 seeded :class:`~repro.pt.faults.FaultInjector` mutates real collected
 traces (truncations, loss-record corruption, unmapped TIPs, TNT
 split/merge, tie reordering, stale debug info); 1000 decoder-level seeds
@@ -30,11 +30,10 @@ from repro.pt.perf import collect
 
 from ..conftest import build_figure2_program, decode_columns, lossy_config
 
-#: Policy variants cycled through the fuzz loop (seed % 4).
+#: Policy variants cycled through the fuzz loop (seed % 3).
 POLICIES = (
     DegradationPolicy(),
     DegradationPolicy(max_anomalies_per_segment=4),
-    DegradationPolicy(resync=False),
     DegradationPolicy(max_anomalies_per_segment=None),
 )
 
@@ -86,7 +85,7 @@ def _check_decoder_invariants(decoder, columns, seed):
     # at most as many as mapped targets (return stubs and code-cache
     # targets add none).
     assert stats.by_kind.get(AnomalyKind.DECODER_ERROR, 0) == 0, note
-    interp_steps = columns.sources.count("interp")
+    interp_steps = columns.locations.count(None)
     mapped = stats.tips - stats.by_kind.get(AnomalyKind.TIP_UNMAPPED, 0)
     assert interp_steps <= mapped, note
     holes = columns.holes()
@@ -131,11 +130,23 @@ def _pipeline_invariants(result, note):
         assert flow.tid == tid, note
 
 
+def _analyse_twice(jportal, trace, database, note):
+    """Analyse *trace* twice; the second run reuses the profiler's cached
+    lifter, so state that leaks from one analysis into the next shows up
+    as a difference."""
+    first = jportal.analyze_trace(trace, database)
+    second = jportal.analyze_trace(trace, database)
+    assert pickle.dumps(second.flows) == pickle.dumps(first.flows), note
+    assert second.anomalies == first.anomalies, note
+    assert second.anomalies_by_kind == first.anomalies_by_kind, note
+    _pipeline_invariants(first, note)
+
+
 class TestPipelineFuzz:
-    """Serial/parallel bit-identity on faulted fixtures (>= 20 seeds)."""
+    """Repeat-run bit-identity on faulted fixtures (>= 20 seeds)."""
 
     @pytest.mark.parametrize("seed", range(24))
-    def test_serial_parallel_identical_under_faults(self, fixture, seed):
+    def test_repeat_analysis_identical_under_faults(self, fixture, seed):
         injector = FaultInjector(1_000_000 + seed)
         trace, faults = injector.mutate_trace(
             fixture["trace"], faults_per_core=3
@@ -145,14 +156,8 @@ class TestPipelineFuzz:
             database, db_faults = injector.corrupt_database(database)
             faults = faults + db_faults
         assert faults, "seed=%d produced no faults" % seed
-        jportal = fixture["jportal"]
         note = "seed=%d faults=%r" % (seed, [f.kind for f in faults])
-        serial = jportal.analyze_trace(trace, database)
-        parallel = jportal.analyze_trace(trace, database, max_workers=3)
-        assert pickle.dumps(parallel.flows) == pickle.dumps(serial.flows), note
-        assert parallel.anomalies == serial.anomalies, note
-        assert parallel.anomalies_by_kind == serial.anomalies_by_kind, note
-        _pipeline_invariants(serial, note)
+        _analyse_twice(fixture["jportal"], trace, database, note)
 
     def test_corrupt_database_counts_stale_debug(self, fixture):
         """A database with invalidated debug entries degrades the lift
@@ -269,11 +274,9 @@ class TestFaultSmoke:
             trace, _faults = injector.mutate_trace(
                 fixture["trace"], faults_per_core=2
             )
-            serial = fixture["jportal"].analyze_trace(
-                trace, fixture["database"]
+            _analyse_twice(
+                fixture["jportal"],
+                trace,
+                fixture["database"],
+                "smoke seed=%d" % seed,
             )
-            parallel = fixture["jportal"].analyze_trace(
-                trace, fixture["database"], max_workers=3
-            )
-            assert pickle.dumps(parallel.flows) == pickle.dumps(serial.flows)
-            _pipeline_invariants(serial, "smoke seed=%d" % seed)

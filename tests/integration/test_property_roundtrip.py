@@ -153,7 +153,7 @@ class TestMultiThreadSplitRoundtrip:
             )
             assert decoder.stats.anomalies == 0
             walked += decoder.stats.walked_instructions
-            dispatched += columns.sources.count("interp")
+            dispatched += columns.locations.count(None)
         assert walked == run.counters["steps_compiled"]
         assert dispatched == run.counters["steps_interp"]
 
@@ -188,5 +188,5 @@ class TestEncoderDecoderRoundtrip:
         database = collect_metadata(run)
         decoder, columns = decode_columns(threads[0].stream, database, program)
         assert decoder.stats.walked_instructions == run.counters["steps_compiled"]
-        assert columns.sources.count("interp") == run.counters["steps_interp"]
+        assert columns.locations.count(None) == run.counters["steps_interp"]
         assert decoder.stats.anomalies == 0

@@ -109,13 +109,13 @@ def _walked(columns):
 
 
 def _dispatched(columns):
-    """``(op, taken)`` of the interpreted steps, in order."""
+    """``(op, taken)`` of the interpreted (unlocated) steps, in order."""
     return [
         (op, taken)
-        for op, taken, source in zip(
-            columns.symbols, columns.takens, columns.sources
+        for op, taken, location in zip(
+            columns.symbols, columns.takens, columns.locations
         )
-        if source == "interp"
+        if location is None
     ]
 
 
@@ -125,7 +125,6 @@ class TestInterpDecoding:
         assert columns.symbols == [Op.ILOAD_0]
         assert columns.takens == [None]
         assert columns.locations == [None]
-        assert columns.sources == ["interp"]
 
     def test_conditional_waits_for_tnt(self):
         stream = [
@@ -186,7 +185,8 @@ class TestWalker:
         ]
         _dec, columns = _decode(stream)
         assert _walked(columns) == [0, 3, 9, 12, 3, 20]
-        assert columns.sources == ["jit"] * 6
+        assert None not in columns.locations
+        assert len(columns.locations) == 6
         assert columns.symbols == [Op.NOP] * 6
 
     def test_walk_starves_and_resumes_on_tnt(self):
@@ -421,21 +421,6 @@ class TestDegradation:
         decoder, columns = _decode(stream)
         assert decoder.stats.by_kind == {AnomalyKind.TIP_UNMAPPED: 2}
         assert _dispatched(columns) == [(Op.NOP, None)]
-
-    def test_legacy_mode_buffers_tnt_across_bad_tip(self):
-        # resync=False preserves the lenient pre-policy behaviour: bits
-        # arriving after an unmapped TIP stay buffered and bind the next
-        # conditional.
-        stream = [
-            _tip(0x1234),
-            ("packet", TNTPacket(tsc=1, bits=(True,))),
-            _template(Op.IFEQ, tsc=2),
-        ]
-        decoder, columns = _decode(
-            stream, policy=DegradationPolicy(resync=False)
-        )
-        assert _dispatched(columns) == [(Op.IFEQ, True)]
-        assert decoder.stats.tnt_discarded == 0
 
     def test_walk_desync_enters_resync(self):
         stream = [

@@ -3,8 +3,8 @@
 The correctness contract of :mod:`repro.stream` is bit-identity with the
 batch pipeline on the same final file.  200 seeded schedules vary the
 writer's pacing, the reader's poll cadence, the trace flavour (lossless
-vs calibrated-lossy), the finalize worker count, and the crash point (clean
-stop between records, torn mid-record stop, or a proper seal), and every
+vs calibrated-lossy), and the crash point (clean stop between records,
+torn mid-record stop, or a proper seal), and every
 one must finalize to exactly the batch result -- flows, anomaly
 taxonomy, synthetic holes, projection and recovery stats.  A clean stop
 must finalize without the batch replay (its one salvage event is the
@@ -80,10 +80,7 @@ def _stream_one_seed(fixture, tmp_path, seed, batch_cache):
     else:
         simulator.crash()
     tenant.poll()
-    if seed % 50 == 10:
-        streamed = tenant.finalize(max_workers=2)
-    else:
-        streamed = tenant.finalize()
+    streamed = tenant.finalize()
     final_bytes = open(path, "rb").read()
     digest = hashlib.sha1(final_bytes).hexdigest()
     baseline = batch_cache.get(digest)
@@ -107,7 +104,7 @@ def _stream_one_seed(fixture, tmp_path, seed, batch_cache):
 
 
 class TestStreamProperty:
-    """200 seeds x (pacing, flavour, crash point, workers) identity."""
+    """200 seeds x (pacing, flavour, crash point) identity."""
 
     def test_two_hundred_seeds_finalize_equals_batch(
         self, stream_fixture, tmp_path
