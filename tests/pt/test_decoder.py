@@ -186,7 +186,6 @@ class TestWalker:
         _dec, columns = _decode(stream)
         assert _walked(columns) == [0, 3, 9, 12, 3, 20]
         assert None not in columns.locations
-        assert len(columns.locations) == 6
         assert columns.symbols == [Op.NOP] * 6
 
     def test_walk_starves_and_resumes_on_tnt(self):
