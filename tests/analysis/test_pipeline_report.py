@@ -25,6 +25,21 @@ class TestReportOnResult:
         assert not report.lint.has_errors
         assert len(report.checks) == len(list(result.program.methods()))
 
+    def test_repeat_result_carries_same_verdicts(self):
+        """A second analysis through the same profiler reuses its static
+        report; merging the first run's database lint must not have
+        changed what the second run reports."""
+        jportal, first = _analyse()
+        static_findings = len(jportal.analysis_report.lint)
+        repeat = jportal.analyze_trace(first.trace, first.database)
+        assert len(jportal.analysis_report.lint) == static_findings
+        assert repeat.analysis_report is not first.analysis_report
+        assert (
+            repeat.analysis_report.ambiguous_methods()
+            == first.analysis_report.ambiguous_methods()
+        )
+        assert len(repeat.analysis_report.lint) == len(first.analysis_report.lint)
+
     def test_database_lint_merged_per_run(self):
         jportal, result = _analyse()
         # The static report (no database) has strictly fewer or equal

@@ -81,6 +81,15 @@ class TestObservedColumns:
         columns.locations[1] = ("Test.fun", 3)
         assert [step.source for step in columns.steps()] == ["interp", "jit"]
 
+    def test_equality_sees_locations(self):
+        """With the source derived from the location, equality over the
+        locations also tells an interpreted step from a compiled one."""
+        assert _columns("shs") == _columns("shs")
+        located = _columns("shs")
+        located.locations[0] = ("Test.fun", 3)
+        assert located != _columns("shs")
+        assert located.steps()[0].source != _columns("shs").steps()[0].source
+
     def test_hole_duration(self):
         hole = ObservedHole(start_tsc=5, end_tsc=25)
         assert hole.duration == 20

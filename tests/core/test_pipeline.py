@@ -5,8 +5,9 @@ import weakref
 
 import pytest
 
-from repro.core import JPortal
+from repro.core import JPortal, ideal_makespan
 from repro.core.metadata import collect_metadata
+from repro.core.pipeline import PhaseTimings
 from repro.core.recovery import RecoveryConfig
 from repro.jvm.jit import JITPolicy
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig, run_program
@@ -195,3 +196,29 @@ class TestEngineKeyword:
     def test_other_engines_raise(self, engine):
         with pytest.raises(ValueError, match="engine"):
             JPortal(build_figure2_program(iterations=4), engine=engine)
+
+
+class TestIdealMakespan:
+    """``ideal_makespan`` models concurrent chains from their measured
+    durations with an LPT schedule."""
+
+    def test_one_worker_is_the_serial_sum(self):
+        assert ideal_makespan([0.5, 0.25, 1.0], 1) == 1.75
+
+    def test_enough_workers_is_the_longest_chain(self):
+        assert ideal_makespan([0.5, 0.25, 1.0], 3) == 1.0
+        assert ideal_makespan([0.5, 0.25, 1.0], 8) == 1.0
+
+    def test_lpt_is_an_estimate_not_the_optimum(self):
+        # Longest first on 2 workers: 3 | 3, then 5 | 5, and the last 2
+        # makes 7 -- where 3 + 3 | 2 + 2 + 2 would take 6.
+        assert ideal_makespan([2, 3, 2, 3, 2], 2) == 7
+
+    def test_no_chains_take_no_time(self):
+        assert ideal_makespan([], 4) == 0.0
+        assert PhaseTimings().critical_path_seconds == 0.0
+
+    @pytest.mark.parametrize("workers", (0, -1))
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ideal_makespan([1.0], workers)

@@ -127,6 +127,32 @@ class TestArchiveContract:
             assert disk_flow.observed.items == flow.observed.items, tid
         assert from_disk.salvage.clean
 
+    def test_damaged_archive_analysis_is_repeatable(self, fixture, tmp_path):
+        """A damaged archive reads the same on every analysis: again
+        through the shared profiler (cached lifter) and through a fresh
+        one."""
+        mutated, _faults = FaultInjector(seed=11).corrupt_archive(
+            fixture["bytes"], faults=3
+        )
+        target = tmp_path / "damaged.rpt2"
+        target.write_bytes(mutated)
+        shared = fixture["jportal"]
+        first = shared.analyze_archive(target, snapshot_path=fixture["snapshot"])
+        assert not first.salvage.clean
+        for label, jportal in (
+            ("repeat", shared),
+            ("fresh", JPortal(fixture["program"])),
+        ):
+            result = jportal.analyze_archive(
+                target, snapshot_path=fixture["snapshot"]
+            )
+            assert result.flows == first.flows, label
+            assert result.anomalies_by_kind == first.anomalies_by_kind, label
+            assert result.salvage.by_kind() == first.salvage.by_kind(), label
+            assert (
+                result.salvage.bytes_salvaged == first.salvage.bytes_salvaged
+            ), label
+
     @pytest.mark.parametrize(
         "kind",
         [

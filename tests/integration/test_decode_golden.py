@@ -199,6 +199,25 @@ def test_subject_matches_golden(name):
     assert subject_digests(name) == _golden()["subjects"][name]
 
 
+class TestFuzzedRepeatIdentity:
+    """On fuzzed traces the golden does not cover (a different seed
+    family), a repeat through the shared profiler -- whose lifter cache
+    earlier analyses filled -- and a fresh profiler digest the same."""
+
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_repeat_and_fresh_match_first(self, figure2, seed):
+        jportal = figure2["jportal"]
+        database = figure2["database"]
+        trace, _faults = FaultInjector(4_000_000 + seed).mutate_trace(
+            figure2["traces"]["pt-lossy"], faults_per_core=2
+        )
+        first = digest(jportal.analyze_trace(trace, database))
+        repeat = digest(jportal.analyze_trace(trace, database))
+        fresh = digest(JPortal(jportal.program).analyze_trace(trace, database))
+        assert repeat == first, "seed=%d" % seed
+        assert fresh == first, "seed=%d" % seed
+
+
 if __name__ == "__main__":
     if "--write" not in sys.argv[1:]:
         raise SystemExit(

@@ -4,13 +4,19 @@ A fixed, deterministic multi-thread, multi-core run (with real buffer
 loss) is the golden fixture: its per-thread streams are serialised and
 restored through the on-disk trace format, and ``JPortal.analyze_trace``
 runs one decode/project/recover chain per thread over it.  The lossless
-flows must equal each thread's ground truth, and the per-thread timing
-breakdowns and metrics must account for every thread and add up to the
-aggregates.
+flows must equal each thread's ground truth; the chains must be
+deterministic, independent of each other and of the order they run in,
+and must run on the caller's thread; a chain that fails degrades only
+its own thread; and the per-thread timing breakdowns and metrics must
+account for every thread and add up to the aggregates.
 """
+
+import pickle
+import threading
 
 from repro.core import JPortal, ideal_makespan
 from repro.core.metadata import collect_metadata
+from repro.core.metrics import MetricsRegistry
 from repro.core.multicore import split_by_thread
 from repro.jvm.jit import JITPolicy
 from repro.jvm.runtime import JVMRuntime, RuntimeConfig
@@ -65,6 +71,112 @@ class TestGroundTruth:
                 result.flow_of(tid).reconstructed_nodes()
                 == run.threads[tid].truth
             ), "tid=%d" % tid
+
+
+class TestChainRunner:
+    def test_lossy_flows_byte_identical_across_profilers(self):
+        program, run = _golden_run()
+        trace = collect(run, lossy_config(capacity=600, bandwidth=0.1))
+        database = collect_metadata(run)
+        shared = JPortal(program)
+        first = shared.analyze_trace(trace, database)
+        assert first.loss_fraction > 0  # the hard case: holes + recovery
+        golden = pickle.dumps(first.flows)
+        # The shared profiler's second run reuses its cached lifter; a
+        # fresh profiler rebuilds every per-program structure.
+        for label, result in (
+            ("repeat", shared.analyze_trace(trace, database)),
+            ("fresh", JPortal(program).analyze_trace(trace, database)),
+        ):
+            assert result.flows == first.flows, label
+            assert pickle.dumps(result.flows) == golden, label
+            assert result.anomalies == first.anomalies, label
+            assert result.anomalies_by_kind == first.anomalies_by_kind, label
+
+    def test_chains_are_order_independent(self):
+        """Each chain depends only on its own thread: running them one
+        by one in descending tid order, each into its own registry,
+        reproduces the loop's flows, provenance and projection stats."""
+        program, run = _golden_run()
+        trace = collect(run, lossy_config(capacity=600, bandwidth=0.1))
+        database = collect_metadata(run)
+        result = JPortal(program).analyze_trace(trace, database)
+        jportal = JPortal(program)
+        threads = split_by_thread(trace)
+        assert len(threads) == 3
+        for tid in sorted(threads, reverse=True):
+            flow = jportal._analyze_thread(
+                tid, threads[tid], database, MetricsRegistry()
+            )
+            expected = result.flow_of(tid)
+            assert pickle.dumps(flow) == pickle.dumps(expected), tid
+            assert flow.entry_counts() == expected.entry_counts(), tid
+            assert flow.projection == expected.projection, tid
+            assert flow.flow.stats == expected.flow.stats, tid
+            assert flow.observed.holes() == expected.observed.holes(), tid
+
+    def test_analyze_run_matches_analyze_trace(self):
+        """`analyze_run` is `collect` + `collect_metadata` + `analyze_trace`."""
+        program, run = _golden_run()
+        jportal = JPortal(program)
+        from_run = jportal.analyze_run(run, lossless_config())
+        from_trace = jportal.analyze_trace(
+            collect(run, lossless_config()), collect_metadata(run)
+        )
+        assert from_run.flows == from_trace.flows
+        assert from_run.anomalies == from_trace.anomalies
+
+    def test_failed_chain_degrades_only_its_thread(self, monkeypatch):
+        program, run = _golden_run()
+        trace = collect(run, lossy_config(capacity=600, bandwidth=0.1))
+        database = collect_metadata(run)
+        baseline = JPortal(program).analyze_trace(trace, database)
+        jportal = JPortal(program)
+        recover = jportal.recovery_engine.recover
+        victim = 1
+
+        def failing_recover(segments, holes, metrics=None, tid=None):
+            if tid == victim:
+                raise RuntimeError("injected recovery failure")
+            return recover(segments, holes, metrics=metrics, tid=tid)
+
+        monkeypatch.setattr(jportal.recovery_engine, "recover", failing_recover)
+        result = jportal.analyze_trace(trace, database)
+        assert sorted(result.flows) == sorted(baseline.flows)
+        degraded = result.flow_of(victim)
+        assert degraded.flow.entries == []
+        assert degraded.segments == []
+        assert degraded.observed.symbols == []
+        assert result.timings.per_thread[victim].holes == 0
+        metrics = result.metrics
+        assert metrics.counter("pipeline.thread_chain_failures", tid=victim) == 1
+        assert metrics.counter("pipeline.thread_chain_failures") == 1
+        for tid, flow in baseline.flows.items():
+            if tid != victim:
+                assert result.flow_of(tid) == flow, tid
+        assert result.anomalies == sum(
+            flow.observed.anomalies
+            for tid, flow in baseline.flows.items()
+            if tid != victim
+        )
+
+    def test_chains_start_no_threads(self, monkeypatch):
+        """The chains run on the caller's thread: an analysis during
+        which no thread may start completes without a failed chain."""
+        program, run = _golden_run()
+        trace = collect(run, lossy_config(capacity=600, bandwidth=0.1))
+        database = collect_metadata(run)
+        baseline = JPortal(program).analyze_trace(trace, database)
+        jportal = JPortal(program)
+
+        def no_start(thread):
+            raise AssertionError("analysis started thread %r" % thread.name)
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        result = jportal.analyze_trace(trace, database)
+        monkeypatch.undo()
+        assert result.metrics.counter("pipeline.thread_chain_failures") == 0
+        assert result.flows == baseline.flows
 
 
 class TestPerThreadMetrics:

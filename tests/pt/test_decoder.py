@@ -421,6 +421,25 @@ class TestDegradation:
         assert decoder.stats.by_kind == {AnomalyKind.TIP_UNMAPPED: 2}
         assert _dispatched(columns) == [(Op.NOP, None)]
 
+    def test_tnt_after_bad_tip_never_binds_next_conditional(self):
+        # A bit that arrives between an unmapped TIP and the next valid
+        # anchor belongs to code the decoder cannot place: it is
+        # discarded, and the conditional that re-anchors the decoder
+        # does not consume it.
+        stream = [
+            _tip(0x1234),
+            ("packet", TNTPacket(tsc=1, bits=(True,))),
+            _template(Op.IFEQ, tsc=2),
+        ]
+        decoder, columns = _decode(stream)
+        assert decoder.stats.by_kind == {
+            AnomalyKind.TIP_UNMAPPED: 1,
+            AnomalyKind.TNT_DISCARDED_DESYNC: 1,
+            AnomalyKind.CONDITIONAL_WITHOUT_TNT: 1,
+        }
+        assert decoder.stats.tnt_discarded == 1
+        assert _dispatched(columns) == [(Op.IFEQ, None)]
+
     def test_walk_desync_enters_resync(self):
         stream = [
             _tip(CODE_BASE + 1),  # mid-instruction: walk desyncs

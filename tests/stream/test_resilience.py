@@ -32,7 +32,9 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.pt import archive as archive_mod
 from repro.pt.archive import ArchiveWriter, iter_archive_events, write_archive
@@ -793,4 +795,68 @@ class TestWatchdog:
         assert supervisor.metrics.counter("stream.forced_replays") == 1
         baseline = jportal.analyze_archive(path)
         assert_results_identical(results["hung"], baseline, "hung finalize")
+        supervisor.close()
+
+
+# ------------------------------------------------------------ poll pool
+class TestSupervisorThreads:
+    """The poll pool is the supervisor's only concurrency: *max_workers*
+    sizes it, and finalize -- batch replays included -- runs on the
+    caller's thread."""
+
+    def test_polls_run_on_the_sized_pool(
+        self, stream_fixture, tmp_path, monkeypatch
+    ):
+        jportal = stream_fixture["jportal"]
+        poll = StreamDecoder.poll
+        threads = []
+
+        def recording_poll(decoder):
+            threads.append(threading.current_thread().name)
+            return poll(decoder)
+
+        monkeypatch.setattr(StreamDecoder, "poll", recording_poll)
+        with StreamSupervisor(max_workers=1) as supervisor:
+            for name in ("a", "b", "c"):
+                path = _sealed_archive(stream_fixture, tmp_path, name + ".rpt2")
+                supervisor.add_tenant(name, path, jportal)
+            for _round in range(2):
+                assert sorted(supervisor.poll_all()) == ["a", "b", "c"]
+        assert len(threads) == 6
+        assert len(set(threads)) == 1  # one worker served every poll
+        assert threads[0] != threading.current_thread().name
+        assert threads[0].startswith("jportal-stream")
+
+    def test_finalize_runs_on_the_callers_thread(
+        self, stream_fixture, tmp_path, monkeypatch
+    ):
+        jportal = stream_fixture["jportal"]
+        paths = {
+            name: _sealed_archive(stream_fixture, tmp_path, name + ".rpt2")
+            for name in ("kept", "shed")
+        }
+        supervisor = StreamSupervisor(max_workers=2)
+        tenants = {
+            name: supervisor.add_tenant(name, path, jportal)
+            for name, path in paths.items()
+        }
+        assert sorted(supervisor.poll_all()) == ["kept", "shed"]
+        tenants["shed"].shed("finalize must replay from the file")
+
+        def no_submit(pool, *args, **kwargs):
+            raise AssertionError("finalize submitted work to a pool")
+
+        def no_start(thread):
+            raise AssertionError("finalize started thread %r" % thread.name)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", no_submit)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        results = supervisor.finalize_all()
+        monkeypatch.undo()
+        assert supervisor.metrics.counter("stream.finalize_failures") == 0
+        assert tenants["shed"].replayed is True
+        assert tenants["kept"].replayed is False
+        for name, path in paths.items():
+            baseline = jportal.analyze_archive(path)
+            assert_results_identical(results[name], baseline, name)
         supervisor.close()
