@@ -117,14 +117,14 @@ def fuzz_case(seed: int, trace, database):
     return trace, database
 
 
-def fuzz_digests(jportal, trace, database) -> List[str]:
+def fuzz_digests(jportal, trace, database, digest_of=digest) -> List[str]:
     return [
-        digest(jportal.analyze_trace(*fuzz_case(seed, trace, database)))
+        digest_of(jportal.analyze_trace(*fuzz_case(seed, trace, database)))
         for seed in range(FUZZ_SEEDS)
     ]
 
 
-def subject_digests(name: str) -> Dict[str, str]:
+def subject_digests(name: str, digest_of=digest) -> Dict[str, str]:
     """``{frontend: digest}`` for one lossy subject run."""
     subject = build_subject(name, size=SUBJECT_SIZES[name])
     run = subject.run(default_config())
@@ -138,7 +138,7 @@ def subject_digests(name: str) -> Dict[str, str]:
         recovery=RecoveryConfig(cost_per_instruction=run.config.compiled_step_cost),
     )
     return {
-        frontend: digest(
+        frontend: digest_of(
             jportal.analyze_trace(
                 collect(run, PTConfig(buffer=buffer, frontend=frontend)),
                 database,
@@ -148,16 +148,19 @@ def subject_digests(name: str) -> Dict[str, str]:
     }
 
 
-def compute_golden() -> Dict[str, object]:
+def compute_golden(digest_of=digest) -> Dict[str, object]:
+    """Every case's ``digest_of(result)``, in the golden file's layout."""
     program, database, traces = figure2_inputs()
     jportal = JPortal(program)
     return {
         "figure2": {
-            case: digest(jportal.analyze_trace(traces[case], database))
+            case: digest_of(jportal.analyze_trace(traces[case], database))
             for case in FIGURE2_CASES
         },
-        "fuzz": fuzz_digests(jportal, traces["pt-lossy"], database),
-        "subjects": {name: subject_digests(name) for name in SUBJECT_NAMES},
+        "fuzz": fuzz_digests(jportal, traces["pt-lossy"], database, digest_of),
+        "subjects": {
+            name: subject_digests(name, digest_of) for name in SUBJECT_NAMES
+        },
     }
 
 
