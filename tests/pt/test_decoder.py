@@ -15,7 +15,8 @@ from repro.core.metadata import CodeDatabase, CodeDump
 from repro.jvm.machine import MIKind, MachineInstruction
 from repro.jvm.opcodes import Op
 from repro.jvm.templates import TemplateTable
-from repro.pt.decoder import AnomalyKind, DegradationPolicy
+from repro.core.metrics import MetricsRegistry
+from repro.pt.decoder import MAX_WALK, AnomalyKind, DecodeStats, DegradationPolicy
 from repro.pt.packets import (
     AuxLossRecord,
     FUPPacket,
@@ -62,21 +63,35 @@ class StubProgram:
         return self.blob
 
 
-def make_database():
-    dump = CodeDump(
+def blob_dump(instructions=BLOB, debug=None, load_tsc=0, unload_tsc=None):
+    """A ``T.blob`` dump of *instructions*; by default every address
+    carries the debug record ``("T.blob", offset)``."""
+    if debug is None:
+        debug = {
+            mi.address: (("T.blob", mi.address - CODE_BASE),) for mi in instructions
+        }
+    return CodeDump(
         qname="T.blob",
-        entry=CODE_BASE,
-        limit=CODE_BASE + 27,
-        instructions=list(BLOB),
-        debug={mi.address: (("T.blob", mi.address - CODE_BASE),) for mi in BLOB},
-        load_tsc=0,
-        unload_tsc=None,
+        entry=instructions[0].address,
+        limit=instructions[-1].end,
+        instructions=list(instructions),
+        debug=debug,
+        load_tsc=load_tsc,
+        unload_tsc=unload_tsc,
     )
-    return CodeDatabase(TEMPLATES.metadata(), [dump], TEMPLATES.address_space)
 
 
-def _decode(stream, **options):
-    return decode_columns(stream, make_database(), StubProgram(), **options)
+def make_database(*dumps):
+    """The template table plus *dumps* (the standard blob by default)."""
+    return CodeDatabase(
+        TEMPLATES.metadata(), list(dumps or (blob_dump(),)), TEMPLATES.address_space
+    )
+
+
+def _decode(stream, database=None, **options):
+    if database is None:
+        database = make_database()
+    return decode_columns(stream, database, StubProgram(), **options)
 
 
 def _tip(target, tsc=0):
@@ -223,6 +238,231 @@ class TestWalker:
         ]
         decoder, _columns = _decode(stream)
         assert decoder.stats.walked_instructions == 3
+
+
+def _tnt(tsc, *bits):
+    return ("packet", TNTPacket(tsc=tsc, bits=bits))
+
+
+def _tnts(tsc, bits):
+    """*bits* as consecutive TNT packets of at most six bits each."""
+    return [_tnt(tsc, *bits[at : at + 6]) for at in range(0, len(bits), 6)]
+
+
+def _offsets(columns):
+    """Every step's blob offset; every step here is a compiled one."""
+    assert None not in columns.locations
+    return [location[1] for location in columns.locations]
+
+
+class TestWalkReplay:
+    """Directed walks over the blob, each pinned to the columns,
+    :class:`DecodeStats` and anomaly kinds of the block-at-a-time
+    decoder: starvation at the first and at a later conditional, a loop
+    taken many times in one walk, an epoch-dependent address mid-walk, a
+    block running into unmapped code, stale debug records, and the
+    :data:`MAX_WALK` budget."""
+
+    #: Loop iterations (+3 -> +9 -> +12 -> +3) taken in one walk.
+    LOOPS = 100
+
+    def test_starves_at_first_conditional_and_resumes(self):
+        stream = [_tip(CODE_BASE, tsc=4), _tnt(5, True)]
+        decoder, columns = _decode(stream)
+        assert _offsets(columns) == [0, 3, 20]
+        assert columns.symbols == [Op.NOP] * 3
+        assert columns.takens == [None] * 3
+        assert columns.tscs == [4] * 3
+        assert decoder.stats == DecodeStats(
+            packets=2, tips=1, tnt_bits=1, walked_instructions=3, tnt_consumed=1
+        )
+
+    def test_starves_at_later_conditionals_and_resumes(self):
+        # Two bits buffered before the walk: it loops twice and starves
+        # at the third visit of +3; the next batch loops twice more and
+        # starves there again; the last bit leaves through +20.
+        stream = [
+            _tnt(0, False, False),
+            _tip(CODE_BASE, tsc=1),
+            _tnt(2, False, False),
+            _tnt(3, True),
+        ]
+        decoder, columns = _decode(stream)
+        assert _offsets(columns) == (
+            [0, 3, 9, 12, 3, 9, 12] + [3, 9, 12, 3, 9, 12] + [3, 20]
+        )
+        assert columns.tscs == [1] * 15  # every step keeps the walk's start
+        assert decoder.stats == DecodeStats(
+            packets=4, tips=1, tnt_bits=5, walked_instructions=15, tnt_consumed=5
+        )
+
+    def test_loop_taken_many_times_in_one_walk(self):
+        loops = self.LOOPS
+        stream = _tnts(0, (False,) * loops + (True,)) + [_tip(CODE_BASE, tsc=1)]
+        decoder, columns = _decode(stream)
+        assert _offsets(columns) == [0, 3] + [9, 12, 3] * loops + [20]
+        assert columns.tscs == [1] * (3 * loops + 3)
+        assert decoder.stats == DecodeStats(
+            packets=len(stream),
+            tips=1,
+            tnt_bits=loops + 1,
+            walked_instructions=3 * loops + 3,
+            tnt_consumed=loops + 1,
+        )
+
+    def test_loop_starves_after_many_iterations(self):
+        loops = self.LOOPS
+        stream = _tnts(0, (False,) * loops) + [_tip(CODE_BASE, tsc=1), _tnt(2, True)]
+        decoder, columns = _decode(stream)
+        assert _offsets(columns) == [0, 3] + [9, 12, 3] * loops + [20]
+        assert decoder.stats == DecodeStats(
+            packets=len(stream),
+            tips=1,
+            tnt_bits=loops + 1,
+            walked_instructions=3 * loops + 3,
+            tnt_consumed=loops + 1,
+        )
+
+    @staticmethod
+    def _epoch_database():
+        # An older dump, unloaded at tsc 10, held a RET at +9 whose debug
+        # record reads ("T.blob", 1); the blob was exported at tsc 10.
+        old = blob_dump(
+            (MachineInstruction(CODE_BASE + 9, 1, MIKind.RET),),
+            debug={CODE_BASE + 9: (("T.blob", 1),)},
+            unload_tsc=10,
+        )
+        return make_database(old, blob_dump(load_tsc=10))
+
+    def test_epoch_dependent_address_mid_walk(self):
+        # In the old epoch the walk ends at the old RET at +9.
+        stream = [_tnt(0, False), _tip(CODE_BASE, tsc=5)]
+        decoder, columns = _decode(stream, self._epoch_database())
+        assert _offsets(columns) == [0, 3, 1]
+        assert decoder.stats == DecodeStats(
+            packets=2, tips=1, tnt_bits=1, walked_instructions=3, tnt_consumed=1
+        )
+        # In the new epoch +9 falls through to the blob's loop.
+        stream = [_tnt(0, False, True), _tip(CODE_BASE, tsc=20)]
+        decoder, columns = _decode(stream, self._epoch_database())
+        assert _offsets(columns) == [0, 3, 9, 12, 3, 20]
+        assert decoder.stats == DecodeStats(
+            packets=2, tips=1, tnt_bits=2, walked_instructions=6, tnt_consumed=2
+        )
+
+    def test_epoch_address_steps_at_the_packet_time_and_lifts_at_the_start(self):
+        # A walk started in the old epoch and resumed in the new one: the
+        # instruction at +9 is the new epoch's, its debug record the
+        # walk start's.
+        stream = [_tip(CODE_BASE, tsc=5), _tnt(20, False, True)]
+        decoder, columns = _decode(stream, self._epoch_database())
+        assert _offsets(columns) == [0, 3, 1, 12, 3, 20]
+        assert columns.tscs == [5] * 6
+        assert decoder.stats == DecodeStats(
+            packets=2, tips=1, tnt_bits=2, walked_instructions=6, tnt_consumed=2
+        )
+
+    def test_block_runs_into_unmapped_address(self):
+        # +3 falls through to +5, where no instruction was exported.
+        database = make_database(
+            blob_dump(
+                (
+                    MachineInstruction(CODE_BASE + 0, 3, MIKind.OTHER),
+                    MachineInstruction(CODE_BASE + 3, 2, MIKind.OTHER),
+                )
+            )
+        )
+        stream = [_tnt(0, True, False), _tip(CODE_BASE, tsc=1), _tnt(2, True)]
+        decoder, columns = _decode(stream, database)
+        assert _offsets(columns) == [0, 3]
+        assert decoder.stats == DecodeStats(
+            packets=3,
+            tips=1,
+            tnt_bits=3,
+            anomalies=2,
+            walked_instructions=2,
+            by_kind={
+                AnomalyKind.WALK_DESYNC: 1,
+                AnomalyKind.TNT_DISCARDED_DESYNC: 1,
+            },
+            tnt_discarded=3,
+        )
+        assert columns.anomalies == 2
+
+    def test_conditional_branches_into_unmapped_address(self):
+        # The first bit leaves the loop for +20, rewritten to branch to
+        # +40, where nothing was exported; the second bit is discarded.
+        blob = list(BLOB)
+        blob[1] = MachineInstruction(
+            CODE_BASE + 3, 6, MIKind.COND_BRANCH, target=CODE_BASE + 40
+        )
+        database = make_database(blob_dump(tuple(blob)))
+        stream = [_tnt(0, False, True, True), _tip(CODE_BASE, tsc=1)]
+        decoder, columns = _decode(stream, database)
+        assert _offsets(columns) == [0, 3, 9, 12, 3]
+        assert decoder.stats == DecodeStats(
+            packets=2,
+            tips=1,
+            tnt_bits=3,
+            anomalies=1,
+            walked_instructions=5,
+            by_kind={AnomalyKind.WALK_DESYNC: 1},
+            tnt_consumed=2,
+            tnt_discarded=1,
+        )
+
+    def _stale_at(self, offset, stream):
+        debug = {
+            mi.address: (("T.blob", mi.address - CODE_BASE),) for mi in BLOB
+        }
+        debug[CODE_BASE + offset] = (("T.gone", offset),)
+        metrics = MetricsRegistry()
+        decoder, columns = _decode(
+            stream, make_database(blob_dump(debug=debug)), metrics=metrics, tid=3
+        )
+        return decoder, columns, metrics.counter("lift.stale_debug_entries", tid=3)
+
+    def test_stale_record_counted_once_per_traversal(self):
+        stream = [_tnt(0, False, False, False, True), _tip(CODE_BASE, tsc=1)]
+        decoder, columns, stale = self._stale_at(9, stream)
+        assert _offsets(columns) == [0, 3, 12, 3, 12, 3, 12, 3, 20]
+        assert stale == 3
+        assert decoder.stats == DecodeStats(
+            packets=2, tips=1, tnt_bits=4, walked_instructions=12, tnt_consumed=4
+        )
+
+    def test_stale_conditional_counted_once_across_starvation(self):
+        # The walk starves at the stale +3 and re-visits it on resume:
+        # one traversal, one count.
+        stream = [_tip(CODE_BASE), _tnt(1, False), _tnt(2, True)]
+        decoder, columns, stale = self._stale_at(3, stream)
+        assert _offsets(columns) == [0, 9, 12, 20]
+        assert stale == 2
+        assert decoder.stats == DecodeStats(
+            packets=3, tips=1, tnt_bits=2, walked_instructions=6, tnt_consumed=2
+        )
+
+    def test_direct_jump_cycle_hits_walk_budget(self):
+        # +0 -> +3 -> +0 forever, with no debug record: the walk is cut
+        # after MAX_WALK + 1 instructions with one budget anomaly.
+        cycle = (
+            MachineInstruction(CODE_BASE + 0, 3, MIKind.OTHER),
+            MachineInstruction(CODE_BASE + 3, 5, MIKind.JMP_DIRECT, target=CODE_BASE),
+        )
+        database = make_database(blob_dump(cycle, debug={}))
+        stream = [_tnt(0, True), _tip(CODE_BASE, tsc=1)]
+        decoder, columns = _decode(stream, database)
+        assert columns.step_count() == 0
+        assert columns.anomalies == 1
+        assert decoder.stats == DecodeStats(
+            packets=2,
+            tips=1,
+            tnt_bits=1,
+            anomalies=1,
+            walked_instructions=MAX_WALK + 1,
+            by_kind={AnomalyKind.WALK_BUDGET: 1},
+            tnt_unused=1,
+        )
 
 
 class TestLossHandling:
