@@ -11,6 +11,8 @@ isolation.  Every blob address carries the debug record
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core.metadata import CodeDatabase, CodeDump
 from repro.jvm.machine import MIKind, MachineInstruction
 from repro.jvm.opcodes import Op
@@ -26,6 +28,7 @@ from repro.pt.packets import (
     TNTPacket,
     TSCPacket,
 )
+from repro.tracesource import engine
 
 from ..conftest import decode_columns
 
@@ -257,8 +260,8 @@ def _offsets(columns):
 
 class TestWalkReplay:
     """Directed walks over the blob, each pinned to the columns,
-    :class:`DecodeStats` and anomaly kinds of the block-at-a-time
-    decoder: starvation at the first and at a later conditional, a loop
+    :class:`DecodeStats` and anomaly kinds the block-at-a-time decoder
+    gave: starvation at the first and at a later conditional, a loop
     taken many times in one walk, an epoch-dependent address mid-walk, a
     block running into unmapped code, stale debug records, and the
     :data:`MAX_WALK` budget."""
@@ -462,6 +465,29 @@ class TestWalkReplay:
             walked_instructions=MAX_WALK + 1,
             by_kind={AnomalyKind.WALK_BUDGET: 1},
             tnt_unused=1,
+        )
+
+    @pytest.mark.parametrize("budget", [20, 50, 51])
+    def test_walk_budget_inside_a_replayed_loop(self, budget, monkeypatch):
+        # With a small budget the loop's walk is cut after budget + 1
+        # instructions, with the same anomaly and the bits past the cut
+        # unconsumed.
+        monkeypatch.setattr(engine, "MAX_WALK", budget)
+        loops = self.LOOPS
+        stream = _tnts(0, (False,) * loops + (True,)) + [_tip(CODE_BASE, tsc=1)]
+        decoder, columns = _decode(stream)
+        walked = ([0] + [3, 9, 12] * loops)[: budget + 1]
+        assert _offsets(columns) == walked
+        consumed = walked.count(3)
+        assert decoder.stats == DecodeStats(
+            packets=len(stream),
+            tips=1,
+            tnt_bits=loops + 1,
+            anomalies=1,
+            walked_instructions=budget + 1,
+            by_kind={AnomalyKind.WALK_BUDGET: 1},
+            tnt_consumed=consumed,
+            tnt_unused=loops + 1 - consumed,
         )
 
 
