@@ -26,11 +26,6 @@ from ..jvm.machine import AddressSpace, MachineInstruction, MIKind
 from ..jvm.opcodes import Kind, MNEMONICS, Op, info
 from ..jvm.runtime import RunResult
 from ..pt.decoder import (
-    BLOCK_CHAIN,
-    BLOCK_COND,
-    BLOCK_END,
-    BLOCK_EPOCH,
-    BLOCK_UNKNOWN,
     TARGET_CODE,
     TARGET_STUB,
     TARGET_TEMPLATE,
@@ -39,8 +34,8 @@ from ..pt.decoder import (
 
 #: Straight-line cap on one cached walk block (loop/runaway guard: a
 #: direct-jump cycle inside compiled code must still terminate the block
-#: builder; the decoder chains blocks, so the cap only bounds cache
-#: granularity, never the walk itself).
+#: builder; the lifter's walk trie chains blocks, so the cap only bounds
+#: cache granularity, never the walk itself).
 MAX_BLOCK = 512
 
 
@@ -69,15 +64,8 @@ class WalkBlock:
     stepped per-instruction by the decoder with the real ``tsc``.
     """
 
-    # The end-kind codes are the pt-layer contract (repro.pt.decoder
-    # defines them; the pt layer cannot import this module).
-    COND = BLOCK_COND
-    END = BLOCK_END
-    CHAIN = BLOCK_CHAIN
-    UNKNOWN = BLOCK_UNKNOWN
-    EPOCH = BLOCK_EPOCH
+    COND, END, CHAIN, UNKNOWN, EPOCH = range(5)
 
-    bid: int
     addresses: Tuple[int, ...]
     kind: int
     taken_ip: int = -1
@@ -146,9 +134,10 @@ class CodeDatabase:
 
     Implements the code-database protocol of the decode engine
     (:mod:`repro.tracesource.engine`: ``classify_target``,
-    ``op_is_conditional``, ``walk_block``, ``native_instruction_at``),
-    plus the debug-info queries of the JIT-mode lifter
-    (:class:`repro.core.batchflow.JitLifter`).
+    ``op_is_conditional``, ``native_instruction_at``), plus the block
+    and debug-info queries of the JIT-mode lifter
+    (:class:`repro.core.batchflow.JitLifter`: ``walk_block``,
+    ``debug_frames_at``).
     """
 
     def __init__(
@@ -188,7 +177,6 @@ class CodeDatabase:
         # caller's thread.
         self._target_class: Dict[int, Tuple[int, Optional[Op]]] = {}
         self._blocks: Dict[int, WalkBlock] = {}
-        self._block_count = 0
 
     # -------------------------------------------------- decoder protocol
     def template_op_at(self, ip: int) -> Optional[Op]:
@@ -250,13 +238,14 @@ class CodeDatabase:
     def walk_block(self, address: int) -> WalkBlock:
         """The cached straight-line :class:`WalkBlock` starting at *address*.
 
-        The batch decoder drains compiled-code walks block-at-a-time
-        through this cache instead of one ``native_instruction_at`` call
-        per instruction -- the same basic-block caching real PT decoders
-        use.  Addresses with more than one exported candidate (code-cache
-        reuse across GC epochs) are never folded into a block: they
-        surface as an ``EPOCH`` block so the decoder can resolve them
-        per-instruction with the real timestamp.
+        The JIT-mode lifter (:class:`repro.core.batchflow.JitLifter`)
+        grows its walk trie from these blocks instead of one
+        ``native_instruction_at`` call per instruction -- the same
+        basic-block caching real PT decoders use.  Addresses with more
+        than one exported candidate (code-cache reuse across GC epochs)
+        are never folded into a block: they surface as an ``EPOCH``
+        block so the decoder can resolve them per-instruction with the
+        real timestamp.
         """
         block = self._blocks.get(address)
         if block is None:
@@ -268,20 +257,14 @@ class CodeDatabase:
         addresses: List[int] = []
         address = start
         mi_index = self._mi_index
-        bid = self._block_count
-        self._block_count += 1
         while True:
             candidates = mi_index.get(address)
             if not candidates:
-                return WalkBlock(
-                    bid, tuple(addresses), WalkBlock.UNKNOWN, next_ip=address
-                )
+                return WalkBlock(tuple(addresses), WalkBlock.UNKNOWN, next_ip=address)
             if len(candidates) != 1:
                 if not addresses:
-                    return WalkBlock(bid, (), WalkBlock.EPOCH, next_ip=address)
-                return WalkBlock(
-                    bid, tuple(addresses), WalkBlock.CHAIN, next_ip=address
-                )
+                    return WalkBlock((), WalkBlock.EPOCH, next_ip=address)
+                return WalkBlock(tuple(addresses), WalkBlock.CHAIN, next_ip=address)
             mi = candidates[0][1]
             kind = mi.kind
             addresses.append(address)
@@ -291,7 +274,6 @@ class CodeDatabase:
                 address = mi.target
             elif kind is MIKind.COND_BRANCH:
                 return WalkBlock(
-                    bid,
                     tuple(addresses),
                     WalkBlock.COND,
                     taken_ip=mi.target,
@@ -299,11 +281,9 @@ class CodeDatabase:
                 )
             else:
                 # Indirect branch / return: awaits the next TIP.
-                return WalkBlock(bid, tuple(addresses), WalkBlock.END)
+                return WalkBlock(tuple(addresses), WalkBlock.END)
             if len(addresses) >= MAX_BLOCK:
-                return WalkBlock(
-                    bid, tuple(addresses), WalkBlock.CHAIN, next_ip=address
-                )
+                return WalkBlock(tuple(addresses), WalkBlock.CHAIN, next_ip=address)
 
     # ------------------------------------------------ debug-info queries
     def dump_at(self, ip: int, tsc: Optional[int] = None) -> Optional[CodeDump]:

@@ -15,11 +15,6 @@ and the code-database protocol.
 from __future__ import annotations
 
 from ..tracesource.engine import (  # noqa: F401  (compatibility re-exports)
-    BLOCK_CHAIN,
-    BLOCK_COND,
-    BLOCK_END,
-    BLOCK_EPOCH,
-    BLOCK_UNKNOWN,
     LIFT_STALE,
     MAX_WALK,
     TARGET_CODE,

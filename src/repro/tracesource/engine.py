@@ -50,15 +50,36 @@ The code database must provide::
 
     classify_target(ip)            -> (TARGET_* code, template Op or None)
     op_is_conditional(op)          -> bool
-    walk_block(ip)                 -> the cached straight-line block
-        starting at ip (``bid``, ``addresses``, a BLOCK_* ``kind``, and
-        ``taken_ip``/``fall_ip``/``next_ip`` successors)
     native_instruction_at(ip, tsc) -> MachineInstruction or None
         (tsc selects the code-cache epoch when reclaimed addresses
         were reused; pass None for "latest")
 
 which :class:`repro.core.metadata.CodeDatabase` implements from the
 exported metadata only (never from runtime-private state).
+
+The lifter keeps a *walk trie* per start address (a walk reads the trace
+only at conditional and indirect branches, so the code between two of
+them always lifts to the same columns) and must provide::
+
+    walk_roots                 -> dict: start address -> root node
+    walk_root(ip)              -> grow, record and return ip's root
+    walk_child(node, taken)    -> grow, link and return node's child
+    lift_one(ip, tsc)          -> (op, location), None for a silent
+        address, or LIFT_STALE; one address at the walk's start time
+
+A node carries the columns a walk emits from its root through the
+node's straight-line code -- ``ops``/``locs``/``nones`` tuples, their
+``count``, and the ``stale`` records and instructions ``walked`` on the
+way -- and an ``exit`` code: ``WALK_BRANCH`` (a conditional at
+``branch_ip``; children ``on_taken``/``on_fall``, ``None`` until grown),
+``WALK_END`` (indirect branch: the walk stops), ``WALK_CUT`` (a path
+bound: go on from ``next_ip``'s root) or ``WALK_STEP`` (``next_ip`` is
+epoch-dependent or unexported: step it per-instruction).  Its ``body``
+is what a walk that stops at the node emits: for a ``WALK_BRANCH`` node,
+where a walk stops only when its bits run out, the same columns without
+the conditional; otherwise the node itself.
+:class:`repro.core.batchflow.JitLifter` implements the protocol over
+the database's ``walk_block`` cache.
 """
 
 from __future__ import annotations
@@ -81,13 +102,14 @@ from .events import (
 #: Safety bound on machine instructions walked without consuming a packet.
 MAX_WALK = 2_000_000
 
-#: TIP-target classes and walk-block end kinds: the integer contract
+#: TIP-target classes and walk-trie node exits: the integer contract
 #: between this layer and :class:`repro.core.metadata.CodeDatabase`'s
-#: ``classify_target``/``walk_block`` caches.  Defined here (and imported
-#: by the core layer) because the trace-source layer must never import
-#: ``repro.core``.
+#: ``classify_target`` cache and
+#: :class:`repro.core.batchflow.JitLifter`'s walk trie.  Defined here
+#: (and imported by the core layer) because the trace-source layer must
+#: never import ``repro.core``.
 TARGET_UNKNOWN, TARGET_STUB, TARGET_TEMPLATE, TARGET_CODE = 0, 1, 2, 3
-BLOCK_COND, BLOCK_END, BLOCK_CHAIN, BLOCK_UNKNOWN, BLOCK_EPOCH = 0, 1, 2, 3, 4
+WALK_BRANCH, WALK_END, WALK_CUT, WALK_STEP = 0, 1, 2, 3
 
 #: Sentinel a batch lifter's ``lift_one`` returns for a stale debug
 #: record (resolves to no live bytecode; counted, never raised).
@@ -250,13 +272,11 @@ class BatchEventDecoder:
       plus ``add_hole`` and an ``anomalies`` counter);
     * outcome payloads are kept as one flat bit-run (list + cursor)
       instead of a deque popped one object at a time;
-    * compiled-code walks drain block-at-a-time through the database's
-      ``walk_block`` cache (straight-line runs end at a conditional,
-      an indirect branch, or an epoch-dependent address), with the
-      per-block lift templates supplied by *lifter* (duck-typed:
-      ``block_template(block)`` and ``lift_one(address, tsc)``, see
-      :class:`repro.core.batchflow.JitLifter`); epoch-dependent
-      addresses and walks near the :data:`MAX_WALK` budget fall back to
+    * compiled-code walks replay *lifter*'s walk trie (duck-typed, see
+      the module docstring and :class:`repro.core.batchflow.JitLifter`):
+      one root lookup, one attribute hop per outcome bit, one extend
+      per column; epoch-dependent addresses, unexported addresses and
+      walks near the :data:`MAX_WALK` budget fall back to
       per-instruction stepping, so a walk ends, starves, or
       desynchronises at exactly the instruction it would reach one
       address at a time;
@@ -630,138 +650,108 @@ class BatchEventDecoder:
         debug info resolves against) the time the walk started, even
         across starvation resumes, while *tsc* (the current packet's
         time) drives epoch selection and anomaly records.
+
+        Each pass descends the lifter's trie from *address*'s root, one
+        buffered outcome bit per conditional, and emits the node it stops
+        at: whole, or its ``body`` when the bits run out at its
+        conditional.  What the trie cannot decide steps one instruction
+        at a time: the address after a ``WALK_STEP`` node, and -- from
+        the descent's root, with its bits given back -- a path that
+        would cross the :data:`MAX_WALK` budget.
         """
-        database = self.database
-        walk_block = database.walk_block
         lifter = self.lifter
-        template_of = lifter.block_template
-        cols = self._columns
-        symbols = cols.symbols
-        takens = cols.takens
-        locations = cols.locations
-        tscs = cols.tscs
+        roots = lifter.walk_roots
         bits = self._bits
         avail = len(bits)
-        cur = self._cur
-        walked = 0
-        consumed = 0
-        stale = 0
-        try:
-            while True:
-                if walked > MAX_WALK:
-                    self._note(
-                        tsc, AnomalyKind.WALK_BUDGET, "walk budget exceeded"
-                    )
-                    return
-                block = walk_block(address)
-                kind = block.kind
-                count = len(block.addresses)
-                if kind == BLOCK_EPOCH or walked + count > MAX_WALK:
-                    # Per-instruction stepping: epoch-dependent address
-                    # (needs the real tsc) or near the walk budget (needs
-                    # the exact per-instruction boundary semantics).
-                    mi = database.native_instruction_at(address, tsc)
-                    if mi is None:
-                        self._note(
-                            tsc,
-                            AnomalyKind.WALK_DESYNC,
-                            "walk desynchronised at 0x%x" % address,
-                        )
-                        self._cur = cur
-                        self._enter_desync()
-                        cur = self._cur
-                        return
-                    mikind = mi.kind
-                    if mikind is MIKind.COND_BRANCH and cur >= avail:
+        cur = first = self._cur
+        walked = stale = 0
+        stepping = False
+        while True:
+            if not stepping:
+                try:
+                    node = roots[address]
+                except KeyError:
+                    node = lifter.walk_root(address)
+                start = cur
+                while node.exit == WALK_BRANCH and cur < avail:
+                    node = (
+                        node.on_taken if bits[cur] else node.on_fall
+                    ) or lifter.walk_child(node, bits[cur])
+                    cur += 1
+                path = node.body
+                if walked + path.walked > MAX_WALK:
+                    cur = start
+                    stepping = True
+                else:
+                    count = path.count
+                    if count:
+                        cols = self._columns
+                        cols.symbols += path.ops
+                        cols.takens += path.nones
+                        cols.locations += path.locs
+                        cols.tscs += (span_tsc,) * count
+                    walked += path.walked
+                    stale += path.stale
+                    exit = node.exit
+                    if exit == WALK_BRANCH:
                         # Starve: suspend until more outcome bits arrive.
                         # The branch address is re-visited on resume.
-                        self._walk = (span_tsc, address)
-                        return
-                    step = lifter.lift_one(address, span_tsc)
-                    if step is not None:
-                        if step is LIFT_STALE:
-                            stale += 1
-                        else:
-                            symbols.append(step[0])
-                            takens.append(None)
-                            locations.append(step[1])
-                            tscs.append(span_tsc)
-                    walked += 1
-                    if mikind is MIKind.OTHER:
-                        address = mi.end
-                    elif (
-                        mikind is MIKind.JMP_DIRECT
-                        or mikind is MIKind.CALL_DIRECT
-                    ):
-                        address = mi.target
-                    elif mikind is MIKind.COND_BRANCH:
-                        taken = bits[cur]
-                        cur += 1
-                        consumed += 1
-                        address = mi.target if taken else mi.end
-                    else:
-                        # Indirect branch / return: awaits the next TIP.
-                        return
-                    continue
-                if kind == BLOCK_COND:
-                    if cur >= avail:
-                        # Starve mid-block: emit everything before the
-                        # conditional, suspend at the conditional itself.
-                        template = template_of(block)
-                        body = template.body_count
-                        if body:
-                            symbols += template.body_ops
-                            takens += template.body_nones
-                            locations += template.body_locs
-                            tscs += (span_tsc,) * body
-                        stale += template.body_stale
-                        walked += count - 1
-                        self._walk = (span_tsc, block.addresses[-1])
-                        return
-                    template = template_of(block)
-                    if template.count:
-                        symbols += template.ops
-                        takens += template.nones
-                        locations += template.locs
-                        tscs += (span_tsc,) * template.count
-                    stale += template.stale
-                    walked += count
-                    taken = bits[cur]
-                    cur += 1
-                    consumed += 1
-                    address = block.taken_ip if taken else block.fall_ip
-                    continue
-                # END / CHAIN / UNKNOWN: the whole block executes first.
-                template = template_of(block)
-                if template.count:
-                    symbols += template.ops
-                    takens += template.nones
-                    locations += template.locs
-                    tscs += (span_tsc,) * template.count
-                stale += template.stale
-                walked += count
-                if kind == BLOCK_END:
-                    return
-                if kind == BLOCK_CHAIN:
-                    address = block.next_ip
-                    continue
-                # BLOCK_UNKNOWN: the walk desynchronises at next_ip.
+                        self._walk = (span_tsc, node.branch_ip)
+                        break
+                    if exit == WALK_END:
+                        break
+                    address = node.next_ip
+                    if exit == WALK_CUT:
+                        continue
+            # One instruction at a time: an epoch-dependent (needs the
+            # real tsc) or unexported address, or near the walk budget
+            # (needs the exact per-instruction boundary semantics).
+            if walked > MAX_WALK:
+                self._note(tsc, AnomalyKind.WALK_BUDGET, "walk budget exceeded")
+                break
+            mi = self.database.native_instruction_at(address, tsc)
+            if mi is None:
                 self._note(
                     tsc,
                     AnomalyKind.WALK_DESYNC,
-                    "walk desynchronised at 0x%x" % block.next_ip,
+                    "walk desynchronised at 0x%x" % address,
                 )
+                self.stats.tnt_consumed += cur - first
                 self._cur = cur
                 self._enter_desync()
-                cur = self._cur
-                return
-        finally:
-            self._cur = cur
-            stats = self.stats
-            stats.walked_instructions += walked
-            stats.tnt_consumed += consumed
-            if stale:
-                self._stale += stale
+                cur = first = self._cur
+                break
+            mikind = mi.kind
+            if mikind is MIKind.COND_BRANCH and cur >= avail:
+                self._walk = (span_tsc, address)
+                break
+            step = lifter.lift_one(address, span_tsc)
+            if step is not None:
+                if step is LIFT_STALE:
+                    stale += 1
+                else:
+                    cols = self._columns
+                    cols.symbols.append(step[0])
+                    cols.takens.append(None)
+                    cols.locations.append(step[1])
+                    cols.tscs.append(span_tsc)
+            walked += 1
+            if mikind is MIKind.OTHER:
+                address = mi.end
+            elif mikind is MIKind.JMP_DIRECT or mikind is MIKind.CALL_DIRECT:
+                address = mi.target
+            elif mikind is MIKind.COND_BRANCH:
+                address = mi.target if bits[cur] else mi.end
+                cur += 1
+            else:
+                # Indirect branch / return: awaits the next TIP.
+                break
+        self._cur = cur
+        stats = self.stats
+        stats.walked_instructions += walked
+        stats.tnt_consumed += cur - first
+        if stale:
+            self._stale += stale
 
     # ---------------------------------------------------------------- cleanup
     def _emit_pending(self) -> None:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.batchflow import JitLifter
-from repro.core.metadata import CodeDatabase, collect_metadata
+from repro.core.metadata import CodeDatabase, WalkBlock, collect_metadata
 from repro.core.metrics import MetricsRegistry
 from repro.core.multicore import split_by_thread
 from repro.core.observed import ObservedColumns, ObservedHole, ObservedStep
@@ -14,6 +14,7 @@ from repro.jvm.opcodes import Op
 from repro.jvm.runtime import RuntimeConfig, run_program
 from repro.pt.decoder import LIFT_STALE
 from repro.pt.perf import collect
+from repro.tracesource.engine import WALK_BRANCH
 
 from ..conftest import build_figure2_program, decode_columns, lossless_config
 
@@ -147,24 +148,39 @@ class TestJitLifter:
             assert qname == "Test.fun"
             assert op is program.method("Test", "fun").code[bci].op
 
-    def test_block_template_matches_per_address_lift(self, figure2):
-        """The cached block path and the per-address path agree; the
-        ``body_*`` columns stop short of the block's last address."""
+    def test_walk_root_matches_per_address_lift(self, figure2):
+        """A trie root and the per-address path agree over the blocks
+        it merges; a branch node's ``body`` stops short of its
+        conditional."""
         database = figure2["database"]
         lifter = JitLifter(database, figure2["program"])
         code = figure2["run"].code_cache.lookup("Test.fun")
         for mi in code.instructions:
+            root = lifter.walk_root(mi.address)
+            addresses = []
             block = database.walk_block(mi.address)
-            template = lifter.block_template(block)
-            lifted = [lifter.lift_one(address, None) for address in block.addresses]
-            assert list(zip(template.ops, template.locs)) == [
+            while True:
+                addresses.extend(block.addresses)
+                if block.kind != WalkBlock.CHAIN:
+                    break
+                block = database.walk_block(block.next_ip)
+            lifted = [lifter.lift_one(address, None) for address in addresses]
+            assert list(zip(root.ops, root.locs)) == [
                 step for step in lifted if step is not None
             ]
-            assert list(zip(template.body_ops, template.body_locs)) == [
-                step for step in lifted[:-1] if step is not None
-            ]
-            assert template.stale == template.body_stale == 0
-            assert lifter.block_template(block) is template
+            assert root.nones == (None,) * root.count
+            assert root.walked == len(addresses)
+            assert root.stale == 0
+            assert lifter.walk_roots[mi.address] is root
+            if block.kind == WalkBlock.COND:
+                assert root.exit == WALK_BRANCH
+                assert root.branch_ip == addresses[-1]
+                body = root.body
+                assert list(zip(body.ops, body.locs)) == [
+                    step for step in lifted[:-1] if step is not None
+                ]
+                assert body.walked == len(addresses) - 1
+                assert body.stale == 0
 
     def test_synthetic_instructions_and_negative_bcis_are_skipped(self, figure2):
         database = figure2["database"]
@@ -182,8 +198,8 @@ class TestJitLifter:
         assert all(
             marked_lifter.lift_one(address, None) is None for address in dump.debug
         )
-        template = marked_lifter.block_template(marked.walk_block(dump.entry))
-        assert template.count == 0 and template.stale == 0
+        root = marked_lifter.walk_root(dump.entry)
+        assert root.count == 0 and root.stale == 0 and root.walked > 0
 
     def test_unknown_address_lifts_to_none(self, figure2):
         lifter = JitLifter(figure2["database"], figure2["program"])
@@ -198,7 +214,7 @@ class TestJitLifter:
         assert all(
             lifter.lift_one(address, None) is LIFT_STALE for address in dump.debug
         )
-        assert lifter.block_template(stale.walk_block(dump.entry)).stale > 0
+        assert lifter.walk_root(dump.entry).stale > 0
         clean = _decode(figure2, figure2["database"])
         metrics = MetricsRegistry()
         columns = _decode(figure2, stale, metrics)

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.metadata import CodeDatabase, CodeDump
+from repro.core.batchflow import MAX_TRIE_DEPTH, MAX_TRIE_WALK
+from repro.core.metadata import MAX_BLOCK, CodeDatabase, CodeDump
 from repro.jvm.machine import MIKind, MachineInstruction
 from repro.jvm.opcodes import Op
 from repro.jvm.templates import TemplateTable
@@ -261,8 +262,9 @@ def _offsets(columns):
 class TestWalkReplay:
     """Directed walks over the blob, each pinned to the columns,
     :class:`DecodeStats` and anomaly kinds the block-at-a-time decoder
-    gave: starvation at the first and at a later conditional, a loop
-    taken many times in one walk, an epoch-dependent address mid-walk, a
+    gave, which the walk-trie replay reproduces: starvation at the first
+    and at a later conditional, a loop taken more times than the trie's
+    depth bound in one walk, an epoch-dependent address mid-walk, a
     block running into unmapped code, stale debug records, and the
     :data:`MAX_WALK` budget."""
 
@@ -470,8 +472,9 @@ class TestWalkReplay:
     @pytest.mark.parametrize("budget", [20, 50, 51])
     def test_walk_budget_inside_a_replayed_loop(self, budget, monkeypatch):
         # With a small budget the loop's walk is cut after budget + 1
-        # instructions, with the same anomaly and the bits past the cut
-        # unconsumed.
+        # instructions, wherever that falls in the trie: inside the first
+        # descent (20), at the depth bound's cut (50) or just past it
+        # (51).  Bits past the cut stay unconsumed.
         monkeypatch.setattr(engine, "MAX_WALK", budget)
         loops = self.LOOPS
         stream = _tnts(0, (False,) * loops + (True,)) + [_tip(CODE_BASE, tsc=1)]
@@ -489,6 +492,36 @@ class TestWalkReplay:
             tnt_consumed=consumed,
             tnt_unused=loops + 1 - consumed,
         )
+
+    def test_trie_paths_stay_within_their_bounds(self):
+        loops = self.LOOPS
+        stream = _tnts(0, (False,) * loops + (True,)) + [_tip(CODE_BASE, tsc=1)]
+        decoder, _columns = _decode(stream)
+        nodes = list(decoder.lifter.walk_roots.values())
+        for node in nodes:
+            assert node.depth <= MAX_TRIE_DEPTH + 1
+            assert node.walked <= MAX_TRIE_WALK
+            nodes.extend(
+                child for child in (node.on_taken, node.on_fall) if child is not None
+            )
+        # The walk went on from the loop's re-entry at +9 after the cut.
+        assert set(decoder.lifter.walk_roots) == {CODE_BASE, CODE_BASE + 9}
+        assert max(node.depth for node in nodes) == MAX_TRIE_DEPTH + 1
+
+    def test_trie_path_length_is_bounded_on_a_cycle(self, monkeypatch):
+        cycle = (
+            MachineInstruction(CODE_BASE + 0, 3, MIKind.OTHER),
+            MachineInstruction(CODE_BASE + 3, 5, MIKind.JMP_DIRECT, target=CODE_BASE),
+        )
+        budget = 10 * MAX_TRIE_WALK
+        monkeypatch.setattr(engine, "MAX_WALK", budget)
+        database = make_database(blob_dump(cycle))
+        decoder, columns = _decode([_tip(CODE_BASE, tsc=1)], database)
+        root = decoder.lifter.walk_roots[CODE_BASE]
+        assert MAX_TRIE_WALK - MAX_BLOCK < root.walked <= MAX_TRIE_WALK
+        assert root.count == root.walked  # every cycle address is recorded
+        assert decoder.stats.walked_instructions == budget + 1
+        assert columns.step_count() == budget + 1
 
 
 class TestLossHandling:
