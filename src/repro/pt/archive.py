@@ -76,6 +76,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..jvm.machine import MachineInstruction, MIKind, ThreadSwitchRecord
@@ -335,17 +336,51 @@ def _tsc_span(entries: Sequence[Tuple[str, object]]) -> Tuple[int, int]:
     return lo, hi
 
 
+def _stream_key(entry: Tuple[str, object]) -> Tuple[int, bool]:
+    """Canonical stream order: TSC order, packets before losses within
+    a tick."""
+    tag, item = entry
+    if tag == "loss":
+        return (item.start_tsc, True)
+    return (item.tsc, False)
+
+
+#: The field that places an entry in TSC order, by tag.
+_TSC_FIELD = {"packet": "tsc", "loss": "start_tsc"}
+
+
+def _in_stream_order(entries: List[Tuple[str, object]]) -> bool:
+    """Whether *entries* already stand in canonical stream order.
+
+    The timestamps are gathered and checked in C-level passes; only the
+    loss entries, which are few, take a Python step each (a loss must
+    not precede a packet of its own tick).
+    """
+    tags = list(map(itemgetter(0), entries))
+    tscs = list(map(getattr, map(itemgetter(1), entries), map(_TSC_FIELD.__getitem__, tags)))
+    if sorted(tscs) != tscs:
+        return False
+    last = len(tags) - 1
+    position = -1
+    while True:
+        try:
+            position = tags.index("loss", position + 1)
+        except ValueError:
+            return True
+        if (
+            position < last
+            and tags[position + 1] != "loss"
+            and tscs[position + 1] == tscs[position]
+        ):
+            return False
+
+
 def merge_core_stream(packets, losses) -> List[Tuple[str, object]]:
     """One core's packets + losses as a canonical tagged stream (TSC
     order, packets before losses within a tick)."""
     merged: List[Tuple[str, object]] = [("packet", p) for p in packets]
     merged.extend(("loss", l) for l in losses)
-    merged.sort(
-        key=lambda entry: (
-            entry[1].start_tsc if entry[0] == "loss" else entry[1].tsc,
-            entry[0] == "loss",
-        )
-    )
+    merged.sort(key=_stream_key)
     return merged
 
 
@@ -1002,19 +1037,16 @@ class _ArchiveScanner:
         # Assemble per-core streams: accepted segments in seq order, then
         # the synthesized losses merged at their TSC positions (stable
         # sort keeps the canonical packet-before-loss tie order within
-        # each tick).
+        # each tick).  A core whose entries already stand in that order
+        # -- no synthesized loss, segments in order -- is not re-sorted.
         for seq in sorted(self._segment_entries):
             core, entries = self._segment_entries[seq]
             contents.cores.setdefault(core, []).extend(entries)
         for core, hole in self._synthesized:
             contents.cores.setdefault(core, []).append(("loss", hole))
-        for core in contents.cores:
-            contents.cores[core].sort(
-                key=lambda entry: (
-                    entry[1].start_tsc if entry[0] == "loss" else entry[1].tsc,
-                    entry[0] == "loss",
-                )
-            )
+        for entries in contents.cores.values():
+            if not _in_stream_order(entries):
+                entries.sort(key=_stream_key)
         contents.thread_switches.sort(key=lambda record: record.tsc)
 
         snapshot = _load_snapshot(self.snapshot_path, stats)

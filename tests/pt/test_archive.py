@@ -25,6 +25,8 @@ from repro.pt.archive import (
     REC_SEGMENT,
     RECORD_OVERHEAD,
     SalvageStats,
+    _in_stream_order,
+    _stream_key,
     deserialize_code_dump,
     deserialize_database,
     merge_core_stream,
@@ -34,7 +36,7 @@ from repro.pt.archive import (
     serialize_database,
     write_archive,
 )
-from repro.pt.packets import TSCPacket
+from repro.pt.packets import AuxLossRecord, TSCPacket
 from repro.pt.perf import PTConfig, collect, collect_to_archive
 from repro.pt.serialize import dump_bytes
 
@@ -57,6 +59,55 @@ def write_to(tmp_path, trace, database, **kw):
 
 def accounted(stats: SalvageStats) -> int:
     return stats.bytes_salvaged + stats.bytes_dropped + stats.bytes_converted_to_loss
+
+
+def _entries(spec: str):
+    """Entries from a spec like ``"p1 l2 p2"``: a packet or a loss at a
+    tick."""
+    entries = []
+    for word in spec.split():
+        tsc = int(word[1:])
+        if word[0] == "l":
+            entries.append(("loss", AuxLossRecord(tsc, tsc + 5, 64, 2)))
+        else:
+            entries.append(("packet", TSCPacket(tsc=tsc)))
+    return entries
+
+
+class TestStreamOrder:
+    """The reader re-sorts a core's entries only when they are out of
+    canonical order (TSC order, packets before losses within a tick)."""
+
+    @pytest.mark.parametrize(
+        "spec, in_order",
+        [
+            ("", True),
+            ("l3", True),
+            ("p1 p2 p2 p3", True),
+            ("p2 p1", False),
+            ("p1 l1", True),
+            ("l1 p1", False),
+            ("l1 l1 p2", True),
+            ("p1 l2 p2", False),
+            ("p1 l3 p2", False),
+            ("p1 p2 l2 l2", True),
+            ("p1 l2 l2 p2", False),
+        ],
+    )
+    def test_order_check_agrees_with_the_sort(self, spec, in_order):
+        entries = _entries(spec)
+        assert _in_stream_order(entries) is in_order
+        assert (sorted(entries, key=_stream_key) == entries) is in_order
+
+    def test_out_of_order_segment_reads_in_canonical_order(self, tmp_path):
+        writer = ArchiveWriter(tmp_path / "a.rpt2")
+        writer.append_segment(0, _entries("p1 l4"))
+        writer.append_segment(0, _entries("p4 p2 l6 p6"))
+        writer.append_segment(1, _entries("p1 l2 p3"))
+        writer.close()
+        cores = read_archive(writer.path).cores
+        assert cores[0] == _entries("p1 p2 p4 l4 p6 l6")
+        assert cores[1] == _entries("p1 l2 p3")
 
 
 class TestWriter:
