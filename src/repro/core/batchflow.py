@@ -208,6 +208,7 @@ class JitLifter:
                 if kind == WalkBlock.UNKNOWN:
                     exit = WALK_STEP
                     break
+                # CHAIN: the straight-line code goes on at next_ip.
         node = WalkNode(tuple(ops), tuple(locs), stale, walked, exit, depth)
         if body is not None:
             node.body = body
